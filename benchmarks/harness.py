@@ -24,11 +24,14 @@ Metrics per scenario:
   parallelism for scenarios sharded over :class:`repro.parallel`
   (``parallel_speedup`` is null for serial scenarios);
 - ``devices_per_sec`` — fleet devices evaluated per wall second, for
-  scenarios driving the columnar fleet engine (null elsewhere);
-- ``transport`` / ``ipc_bytes`` — how the fleet scenarios' bulk shard
-  data travelled (``pickle`` through the pool pipe, ``shm`` through
-  zero-copy arena windows) and the column bytes that crossed the pipe
-  per round (0 under shm; null for non-fleet scenarios);
+  the closed-form fleet scenarios (null elsewhere);
+- ``calibration_wall_s`` / ``fold_wall_s`` — best-round wall time of
+  the fleet scenarios' two steps: calibrating the distinct profiles on
+  a live testbed, and folding every stage's profile runs (null for
+  non-fleet scenarios);
+- ``table_matches_golden`` — whether every round's fleet table is
+  byte-equal to ``tests/golden/fleet_<devices>.txt``; ``--check``
+  fails on ``false`` (null for non-fleet scenarios);
 - ``speedup_gate`` — verdict on ``parallel_speedup`` against the 0.6 x
   jobs floor, or a "skipped (...)" marker naming why the number cannot
   gate on this run (quick mode, <4 cores, jobs<2, serial scenario);
@@ -74,13 +77,10 @@ from repro import _accel  # noqa: E402
 from repro.analysis.adoption import (  # noqa: E402
     FleetMix,
     run_adoption_sweep_stats,
+    sweep_table,
     windows_refresh_mixes,
 )
-from repro.analysis.fleet import (  # noqa: E402
-    distinct_profiles,
-    run_fleet_population_stats,
-)
-from repro.clients.fleet import calibrate_profiles, ProfileOutcome  # noqa: E402
+from repro.analysis.fleet import calibrate_fleet, fold_fleet  # noqa: E402
 from repro.clients.profiles import (  # noqa: E402
     ANDROID,
     IOS,
@@ -104,6 +104,9 @@ from repro.xlat.dns64 import DNS64Resolver  # noqa: E402
 
 BASELINE_PATH = HERE / "baseline.json"
 SEED_BASELINE_PATH = HERE / "seed_baseline.json"
+#: Fleet tables captured from the materialised columnar sweep, one file
+#: per fleet size; the closed-form fold must reproduce them byte-for-byte.
+GOLDEN_DIR = REPO / "tests" / "golden"
 
 #: Show-floor population mix (fractions mirror test_bench_scale.SHOW_FLOOR).
 SHOW_FLOOR = (
@@ -136,8 +139,9 @@ class RoundResult:
         shard_wall: float = 0.0,
         parallel: bool = False,
         devices: int = 0,
-        transport: str = "",
-        ipc_bytes: int = 0,
+        calibration_wall: float = 0.0,
+        fold_wall: float = 0.0,
+        table_ok: Optional[bool] = None,
     ) -> None:
         self.events = events
         self.sim_seconds = sim_seconds
@@ -145,8 +149,9 @@ class RoundResult:
         self.shard_wall = shard_wall
         self.parallel = parallel
         self.devices = devices
-        self.transport = transport
-        self.ipc_bytes = ipc_bytes
+        self.calibration_wall = calibration_wall
+        self.fold_wall = fold_wall
+        self.table_ok = table_ok
         self.wall = 0.0
 
 
@@ -277,67 +282,50 @@ def scenario_scheduler_wheel(quick: bool, executor: SweepExecutor) -> RoundResul
     return RoundResult(engine.events_run, engine.now, 0)
 
 
-#: Calibration tables measured once per distinct-profile set and reused
-#: across rounds/scenarios, so the timed region measures the columnar
-#: sweep + transport, not the (tiny, constant) calibration testbed.
-_CALIBRATIONS: Dict[tuple, tuple] = {}
-
-
-def _fleet_calibration(mixes) -> "tuple[ProfileOutcome, ...]":
-    profiles = distinct_profiles(mixes)
-    key = tuple(p.name for p in profiles)
-    if key not in _CALIBRATIONS:
-        _CALIBRATIONS[key] = calibrate_profiles(profiles, TestbedConfig())
-    return _CALIBRATIONS[key]
-
-
-def _scenario_fleet(fleet: int, executor: SweepExecutor) -> RoundResult:
-    """Shared body for the fleet-scale scenarios: sweep ``fleet`` devices
-    per stage through the columnar engine's population path, full state
-    columns travelling back over the executor's transport."""
+def _scenario_fleet(fleet: int) -> RoundResult:
+    """Shared body for the fleet-scale scenarios: calibrate the sweep's
+    distinct profiles on a live testbed, fold every stage's profile
+    runs in closed form, and compare the table with the golden one."""
     mixes = windows_refresh_mixes(fleet_size=fleet)
-    calibration = _fleet_calibration(mixes)
-    _points, stats, info, _states = run_fleet_population_stats(
-        mixes, TestbedConfig(), executor=executor, calibration=calibration
-    )
+    start = time.perf_counter()
+    tables = calibrate_fleet(mixes)
+    calibrated = time.perf_counter()
+    points = fold_fleet(mixes, tables)
+    folded = time.perf_counter()
+    golden = (GOLDEN_DIR / f"fleet_{fleet}.txt").read_text()
     return RoundResult(
         0,
         0.0,
         0,
-        shard_wall=stats.shard_wall_s,
-        parallel=True,
-        devices=info.devices,
-        transport=info.transport,
-        ipc_bytes=info.ipc_bytes,
+        devices=sum(mix.total for mix in mixes),
+        calibration_wall=calibrated - start,
+        fold_wall=folded - calibrated,
+        table_ok=sweep_table(points) + "\n" == golden,
     )
 
 
 def scenario_fleet_million(quick: bool, executor: SweepExecutor) -> RoundResult:
     """The §VII adoption trajectory at production fleet scale.
 
-    A million-device fleet (100k in quick mode) swept through the five
-    Windows-refresh stages on the columnar engine: calibration tables
-    reused from the module cache, then struct-of-arrays evaluation over
-    device ranges sharded across the executor's pool, with the full
-    outcome columns shipped back over the executor's transport (arena
-    windows under shm, pool pipe under pickle).  Headline metric is
-    ``devices_per_sec`` (events/queries are zero by design — the
-    per-device work is translate/count, not simulated packets — so the
-    events/queries regression gate skips this scenario and the CI fleet
-    smoke gates peak RSS instead).
+    A million-device fleet (100k in quick mode) per Windows-refresh
+    stage, five stages.  The work is one calibration testbed plus a
+    fold over four profile runs per stage, so the wall is almost all
+    calibration and does not grow with the fleet.  Events/queries are
+    zero by design (the calibration testbed's packets are not counted),
+    so the events/queries regression gate skips this scenario; its
+    gate is ``table_matches_golden``.
     """
-    return _scenario_fleet(100_000 if quick else 1_000_000, executor)
+    del executor
+    return _scenario_fleet(100_000 if quick else 1_000_000)
 
 
 def scenario_fleet_10m(quick: bool, executor: SweepExecutor) -> RoundResult:
-    """Ten million devices per stage — the transport stress tier.
-
-    At this size the pickle transport ships ~70 MB of column bytes per
-    stage through the pool pipe, so the shared-memory arena's zero-copy
-    advantage dominates the wall clock.  Quick mode runs 200k devices
-    (a smoke of the same code path, deliberately distinct from
-    ``fleet_million``'s quick size so both rows stay meaningful)."""
-    return _scenario_fleet(200_000 if quick else 10_000_000, executor)
+    """Ten million devices per stage (200k in quick mode, distinct from
+    ``fleet_million``'s quick size so both rows stay meaningful).  Its
+    walls should match ``fleet_million``'s: the closed form's cost is
+    independent of the device count."""
+    del executor
+    return _scenario_fleet(200_000 if quick else 10_000_000)
 
 
 SCENARIOS: Dict[str, Callable[[bool, SweepExecutor], RoundResult]] = {
@@ -380,8 +368,9 @@ def run_scenario(
     events = 0
     queries = 0
     devices = 0
-    ipc_bytes = 0
-    transport = ""
+    calibration_walls: List[float] = []
+    fold_walls: List[float] = []
+    tables_ok: List[bool] = []
     sharded = False
     # Cyclic-GC pauses land at arbitrary points inside timed rounds and
     # are the dominant noise source at these round lengths.  Standard
@@ -402,8 +391,10 @@ def run_scenario(
             events += result.events
             queries += result.queries
             devices += result.devices
-            ipc_bytes += result.ipc_bytes
-            transport = result.transport or transport
+            if result.table_ok is not None:
+                calibration_walls.append(result.calibration_wall)
+                fold_walls.append(result.fold_wall)
+                tables_ok.append(result.table_ok)
             sharded = sharded or result.parallel
             if result.sim_seconds:
                 ratios.append(result.sim_seconds / wall)
@@ -431,15 +422,14 @@ def run_scenario(
         # the regression gate's skip logic is self-documenting.
         "events_per_sec": round(round_events / best_wall, 1) if events else "skipped",
         "queries_per_sec": round(round_queries / best_wall, 1),
-        # Fleet scenarios report columnar throughput; everything else
-        # null.  Recorded, not gated — the fleet gate in CI is peak RSS.
+        # Fleet scenarios report devices folded per wall second;
+        # everything else null.  Recorded, not gated.
         "devices_per_sec": round(round_devices / best_wall, 1) if devices else None,
-        # How the bulk shard data travelled (fleet scenarios): the
-        # resolved transport plus the column bytes that crossed the pool
-        # pipe per round — 0 under shm (columns land in arena windows),
-        # ~bytes_per_device x devices under pickle.
-        "transport": transport or None,
-        "ipc_bytes": ipc_bytes // rounds if transport else None,
+        # The fleet scenarios' two steps, best round each, and whether
+        # every round's table equalled the golden one (null elsewhere).
+        "calibration_wall_s": round(min(calibration_walls), 4) if tables_ok else None,
+        "fold_wall_s": round(min(fold_walls), 6) if tables_ok else None,
+        "table_matches_golden": all(tables_ok) if tables_ok else None,
         # Cumulative process high-water mark at the end of this
         # scenario's rounds (ru_maxrss, children included); None only
         # where the platform offers no resource module.
@@ -706,14 +696,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="worker processes for sharded scenarios (default: $REPRO_JOBS or 1; 0 = all cores)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("auto", "pickle", "shm"),
-        default="auto",
-        help="shard transport for the executor: pickle over the pool pipe or "
-        "zero-copy shared-memory arena windows (auto prefers shm where "
-        "available; results are byte-identical either way)",
-    )
-    parser.add_argument(
         "--format",
         choices=("plain", "gha"),
         default="plain",
@@ -726,7 +708,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     current: Dict[str, dict] = {}
     # One warm executor for the whole run: sharded scenarios reuse the
     # worker pool across rounds instead of re-forking per round.
-    with SweepExecutor(jobs=args.jobs, transport=args.transport) as executor:
+    with SweepExecutor(jobs=args.jobs) as executor:
         for name in names:
             if name not in SCENARIOS:
                 parser.error(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
@@ -818,6 +800,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{name}.parallel_speedup {stats['speedup_gate']}"
         for name, stats in current.items()
         if str(stats.get("speedup_gate", "")).startswith("fail")
+    ]
+    # Fleet tables are deterministic: any difference from the golden
+    # table is a behaviour change, whatever the machine.
+    problems += [
+        f"{name}: table differs from {GOLDEN_DIR.name}/fleet_*.txt"
+        for name, stats in current.items()
+        if stats.get("table_matches_golden") is False
     ]
     for problem in problems:
         print(f"[harness] REGRESSION {problem}")

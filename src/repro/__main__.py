@@ -4,7 +4,7 @@ Commands:
 
 - ``matrix``      — run the §V device-outcome matrix (intervention on/off)
 - ``sweep``       — the §VII Windows-refresh adoption trajectory
-- ``fleet``       — the same trajectory at fleet scale (columnar engine)
+- ``fleet``       — the same trajectory at fleet scale (closed-form fold)
 - ``scores``      — mirror scores per device class, stock vs fixed
 - ``demo``        — the quickstart walk-through
 - ``experiments`` — one-line status for every paper experiment (E1-E16)
@@ -38,32 +38,33 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    """The §VII trajectory through the million-device columnar engine.
+    """The §VII trajectory at fleet scale, in closed form over profile runs.
 
-    The table goes to stdout and the execution summary to stderr, so
-    ``fleet --jobs 1`` and ``fleet --jobs N`` stdout can be diffed
-    byte-for-byte (the CI fleet smoke does exactly that).
+    Calibrates the distinct profiles once on one testbed, then folds
+    each stage's ``(profile, count)`` runs; nothing is per-device, so
+    the command runs in-process at any ``--devices``.  The table goes
+    to stdout and the execution summary (with timings) to stderr, so
+    stdout can be diffed byte-for-byte against a golden table.
     """
     import time
 
-    from repro.analysis.fleet import run_fleet_population_stats
+    from repro.analysis.fleet import calibrate_fleet, FleetSweepInfo, fold_fleet
     from repro.core.rss import peak_rss_bytes
 
     mixes = windows_refresh_mixes(fleet_size=args.devices)
     start = time.perf_counter()
-    points, _stats, info, _states = run_fleet_population_stats(
-        mixes, jobs=args.jobs, min_shard=args.min_shard, transport=args.transport
-    )
-    elapsed = time.perf_counter() - start
+    tables = calibrate_fleet(mixes)
+    calibrated = time.perf_counter()
+    points = fold_fleet(mixes, tables)
+    folded = time.perf_counter()
     print(sweep_table(points))
-    rate = info.devices / elapsed if elapsed > 0 else 0.0
-    rss = peak_rss_bytes()
+    info = FleetSweepInfo.for_mixes(mixes)
     summary = (
         f"fleet: {info.devices} devices / {info.stages} stages / "
-        f"{info.distinct_profiles} profiles / {info.shard_count} shards, "
-        f"transport {info.transport} ({info.ipc_bytes} ipc bytes), "
-        f"{elapsed:.2f}s, {rate:,.0f} devices/sec"
+        f"{info.distinct_profiles} profiles, calibration {calibrated - start:.3f}s, "
+        f"fold {(folded - calibrated) * 1000:.3f}ms"
     )
+    rss = peak_rss_bytes()
     if rss is not None:
         summary += f", peak RSS {rss / (1024 * 1024):.1f} MiB"
     print(summary, file=sys.stderr)
@@ -206,22 +207,16 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_fleet = sub.add_parser(
-        "fleet", help="adoption sweep at fleet scale via the columnar engine"
+        "fleet", help="adoption sweep at fleet scale (closed form over profile runs)"
     )
     p_fleet.add_argument(
         "--devices", type=int, default=1_000_000,
         help="fleet size per refresh stage (default: 1,000,000)",
     )
     p_fleet.add_argument(
-        "--min-shard", type=int, default=65_536,
-        help="smallest device range worth dispatching to a worker",
-    )
-    p_fleet.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    p_fleet.add_argument(
-        "--transport", default="auto", choices=["auto", "pickle", "shm"],
-        help="how worker columns reach the parent: pickle over the pool pipe "
-             "or zero-copy shared-memory arena windows (auto prefers shm when "
-             "the platform offers it; tables are byte-identical either way)",
+        "--jobs", type=int, default=None,
+        help="accepted for compatibility and ignored: the fleet command "
+             "folds profile runs in-process and has nothing to shard",
     )
     p_fleet.set_defaults(fn=cmd_fleet)
 

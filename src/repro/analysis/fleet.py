@@ -1,33 +1,31 @@
-"""Million-device adoption sweeps over the columnar fleet engine.
+"""Fleet-scale adoption sweeps in closed form over profile runs.
 
 The object path (:func:`repro.analysis.adoption.run_adoption_sweep`)
 simulates every device as a live packet-level client — the right tool
-up to a few hundred devices.  This module is the fleet-scale execution
-path the ROADMAP's "Million-host fleet scale" item asks for:
+up to a few hundred devices.  This module answers the same §VII
+trajectory for any fleet size:
 
 1. **calibrate once** — each *distinct* OS profile in the sweep is
    measured with one live client on a real testbed
-   (:func:`repro.clients.fleet.calibrate_profiles`);
-2. **shard ranges** — each stage's device population is cut into
-   contiguous ranges via :func:`repro.parallel.chunk_ranges` and
-   fanned out over the :class:`~repro.parallel.SweepExecutor` pool;
-3. **columnar per shard** — each worker materializes only its range as
-   a :class:`repro.sim.fleet.FleetState` (≈7 B/device), evaluates
-   outcomes with ``bytes.translate`` and folds counts with
-   ``bytearray.count`` into :class:`~repro.core.metrics.AdoptionFold` /
-   :class:`~repro.core.metrics.CensusFold` partials;
-4. **merge additively** — partial folds merge by plain addition, so
-   the final table is byte-identical at any ``--jobs`` and any shard
-   geometry.
+   (:func:`repro.clients.fleet.calibrate_profiles`) and turned into
+   256-byte per-column outcome tables
+   (:func:`repro.clients.fleet.outcome_tables`);
+2. **fold over runs** — a :class:`FleetMix` is a list of
+   ``(profile, count)`` runs, and every device of one profile has the
+   same outcome, so each stage's :class:`~repro.core.metrics.
+   AdoptionFold` / :class:`~repro.core.metrics.CensusFold` is a sum of
+   ``count`` over the runs, binned by ``tables[column][profile_code]``.
 
-Peak memory per shard is the shard's columns plus one calibration
-testbed in the parent — constant in the number of stages and linear
-only in the *largest shard's* device count, never the fleet's.
+The fold costs O(distinct profiles × stages) whatever the device
+count; no per-device state is ever built.  :class:`repro.sim.fleet.
+FleetState` remains the materialised per-device reference —
+:func:`_fold_state` counts its columns — and the tests pin the closed
+form to it and to the object path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro._compat import slotted_dataclass
 from repro.analysis.adoption import AdoptionPoint, FleetMix
@@ -38,54 +36,48 @@ from repro.clients.fleet import (
     ProfileOutcome,
 )
 from repro.clients.profiles import OsProfile
-from repro.core.metrics import AdoptionFold, CensusFold, SweepStats
+from repro.core.metrics import AdoptionFold, CensusFold
 from repro.core.testbed import TestbedConfig
-from repro.parallel import (
-    make_shards,
-    open_window,
-    owned_executor,
-    ShardPayload,
-    ShardSpec,
-    SweepExecutor,
-)
-from repro.parallel.shard import chunk_ranges
-from repro.parallel.shm import ArenaWindow, SharedColumnArena
 from repro.sim import fleet as fl
 
 __all__ = [
     "FleetSweepInfo",
+    "calibrate_fleet",
     "distinct_profiles",
+    "fold_fleet",
+    "fold_runs",
     "run_fleet_adoption_sweep",
     "run_fleet_adoption_sweep_stats",
-    "run_fleet_population_stats",
 ]
 
-#: Devices below which a stage is not worth cutting into further shards;
-#: columnar work is so cheap that tiny shards are pure dispatch overhead.
-DEFAULT_MIN_SHARD = 65_536
+#: Addressing codes that hold a global IPv6 address — what the SC23-style
+#: naive census counts as "IPv6-only".
+_HAS_V6_ADDRESS = (fl.ADDR_DUAL, fl.ADDR_V6_ONLY)
 
 
 @slotted_dataclass()
 class FleetSweepInfo:
-    """Execution accounting for one fleet sweep (for BENCH json rows).
-
-    ``transport`` and ``ipc_bytes`` record how the sweep's bulk data
-    travelled: the pickle transport ships ~``bytes_per_device`` bytes
-    per device through the pool's pipe, the shared-memory transport
-    ships none (columns land in the arena; only O(1) folds pickle).
-    """
+    """Shape of one fleet sweep (for the CLI summary and BENCH rows)."""
 
     devices: int
     stages: int
     distinct_profiles: int
-    shard_count: int
-    bytes_per_device: float
-    transport: str = "pickle"
-    ipc_bytes: int = 0
+
+    @classmethod
+    def for_mixes(cls, mixes: Sequence[FleetMix]) -> "FleetSweepInfo":
+        return cls(
+            devices=sum(mix.total for mix in mixes),
+            stages=len(mixes),
+            distinct_profiles=len(distinct_profiles(mixes)),
+        )
 
 
 def distinct_profiles(mixes: Sequence[FleetMix]) -> List[OsProfile]:
-    """Distinct profiles in first-appearance order across all stages."""
+    """Distinct profiles in first-appearance order across all stages.
+
+    Position ``i`` in this list is profile code ``i`` in the outcome
+    tables, for calibration and folding alike.
+    """
     profiles: List[OsProfile] = []
     seen: Dict[str, int] = {}
     for mix in mixes:
@@ -101,38 +93,79 @@ def _runs_for_mix(mix: FleetMix, profile_index: Dict[str, int]) -> List[Tuple[in
     return [(profile_index[profile.name], count) for profile, count in mix.devices]
 
 
-def _slice_runs(
-    runs: Sequence[Tuple[int, int]], start: int, stop: int
-) -> List[Tuple[int, int]]:
-    """The sub-runs covering device positions ``[start, stop)``."""
-    out: List[Tuple[int, int]] = []
-    offset = 0
+def calibrate_fleet(
+    mixes: Sequence[FleetMix],
+    config: Optional[TestbedConfig] = None,
+    target_site: str = "sc24.supercomputing.org",
+    calibration: Optional[Sequence[ProfileOutcome]] = None,
+) -> Dict[str, bytes]:
+    """Measure (or validate a reused) calibration; build translate tables.
+
+    ``calibration`` lets a caller reuse a previously measured profile
+    table across repeated sweeps of the same config.  It must list the
+    sweep's distinct profiles in :func:`distinct_profiles` order: each
+    outcome's position is the profile code the fold looks it up by.
+    """
+    profiles = distinct_profiles(mixes)
+    if calibration is None:
+        return outcome_tables(
+            calibrate_profiles(profiles, config or TestbedConfig(), target_site=target_site)
+        )
+    if len(calibration) != len(profiles):
+        raise ValueError(
+            f"calibration covers {len(calibration)} profiles, sweep needs {len(profiles)}"
+        )
+    for code, (outcome, profile) in enumerate(zip(calibration, profiles)):
+        if outcome.name != profile.name:
+            raise ValueError(
+                f"calibration position {code} measured {outcome.name!r}, "
+                f"sweep needs {profile.name!r} there"
+            )
+    return outcome_tables(calibration)
+
+
+def fold_runs(
+    runs: Sequence[Tuple[int, int]], tables: Mapping[str, bytes]
+) -> Tuple[AdoptionFold, CensusFold]:
+    """Closed-form fold of one stage: each run adds its ``count`` once.
+
+    Per-class counts bin by the census table, lease/grant counts by the
+    dhcp4 table, interventions by the dns table and the naive census by
+    the addressing table — the same columns :func:`_fold_state` counts
+    on a materialised population, so the two folds are equal.
+    """
+    fold = AdoptionFold()
+    census = CensusFold()
     for code, count in runs:
-        lo = max(start, offset)
-        hi = min(stop, offset + count)
-        if hi > lo:
-            out.append((code, hi - lo))
-        offset += count
-        if offset >= stop:
-            break
-    return out
+        if count == 0:
+            continue  # a materialised population has no row for it
+        cls = CLASS_FOR_CODE[tables["census"][code]]
+        dhcp4 = tables["dhcp4"][code]
+        census.add_class(
+            cls, has_v6_address=tables["addressing"][code] in _HAS_V6_ADDRESS, count=count
+        )
+        fold.add_bulk(
+            count,
+            has_v4_lease=dhcp4 == fl.DHCP4_LEASED,
+            granted_v6only=dhcp4 == fl.DHCP4_V6ONLY_GRANT,
+            intervened=tables["dns"][code] == fl.DNS_POISON_REDIRECT,
+            counts_v6only=cls.counts_as_ipv6_only,
+        )
+    return fold, census
 
 
 def _fold_state(state: fl.FleetState) -> Tuple[AdoptionFold, CensusFold]:
-    """Fold one columnar population into its additive accumulators.
+    """Fold a materialised columnar population by counting its columns.
 
+    The per-device reference :func:`fold_runs` is checked against.
     ``naive_v6only`` is an addressing fact (device holds a global v6
     address), not a class fact, so it folds from the addressing column
-    while the per-class counts fold from the census column.  Used both
-    by shard workers (their range) and by the population path's parent
-    (the merged state) — the folds agree by additivity.
+    while the per-class counts fold from the census column.
     """
     census = CensusFold()
     for code, count in state.code_counts("census").items():
         census.add_class(CLASS_FOR_CODE[code], has_v6_address=False, count=count)
-    census.naive_v6only = state.count("addressing", fl.ADDR_DUAL) + state.count(
-        "addressing", fl.ADDR_V6_ONLY
-    )
+    census.naive_v6only = sum(state.count("addressing", code) for code in _HAS_V6_ADDRESS)
 
     fold = AdoptionFold(
         total=state.size,
@@ -144,284 +177,39 @@ def _fold_state(state: fl.FleetState) -> Tuple[AdoptionFold, CensusFold]:
     return fold, census
 
 
-def _build_range_state(
-    runs: Sequence[Tuple[int, int]],
-    start: int,
-    stop: int,
-    tables: Dict[str, bytes],
-) -> fl.FleetState:
-    """Materialize + evaluate one contiguous device range columnar-ly."""
-    state = fl.FleetState(stop - start)
-    state.fill_runs(_slice_runs(runs, start, stop))
-    state.apply_outcomes(tables)
-    return state
-
-
-def _fold_fleet_range(spec: ShardSpec) -> ShardPayload:
-    """Worker: one contiguous device range, columnar evaluation + fold.
-
-    The payload carries everything the fold needs — the range's profile
-    runs and the pre-built translate tables — so the worker touches no
-    testbed, no engine and no RNG: it is a pure function of its spec,
-    which is what makes the merged table shard-geometry-independent.
-    """
-    mix_index, start, stop, runs, tables = spec.payload
-    state = _build_range_state(runs, start, stop, tables)
-    fold, census = _fold_state(state)
-    return ShardPayload((mix_index, fold, census))
-
-
-def _export_fleet_range(spec: ShardSpec) -> ShardPayload:
-    """Worker for the population path: evaluate a range, export columns.
-
-    Same pure columnar evaluation as :func:`_fold_fleet_range`, but the
-    parent wants the *columns* back, not just the folds.  With a
-    ``window`` in the payload the columns land directly in the shared
-    arena (only the fold struct and the committed generation pickle
-    home — O(1) per shard); without one they ship as pickled bytes and
-    the shard's ``ipc_bytes`` bills ~7 B/device for the trip.
-    """
-    mix_index, start, stop, runs, tables, window = spec.payload
-    state = _build_range_state(runs, start, stop, tables)
-    fold, census = _fold_state(state)
-    if window is None:
-        columns = state.export_columns()
-        ipc = sum(len(data) for data in columns.values())
-        return ShardPayload((mix_index, fold, census, columns, 0), ipc_bytes=ipc)
-    with open_window(window) as writer:
-        state.write_into(writer.buffers())
-        committed = writer.commit()
-    return ShardPayload((mix_index, fold, census, None, committed))
+def fold_fleet(mixes: Sequence[FleetMix], tables: Mapping[str, bytes]) -> List[AdoptionPoint]:
+    """One :class:`AdoptionPoint` per mix, in mix order, in closed form."""
+    index_of = {profile.name: i for i, profile in enumerate(distinct_profiles(mixes))}
+    points = []
+    for mix in mixes:
+        fold, _census = fold_runs(_runs_for_mix(mix, index_of), tables)
+        points.append(
+            AdoptionPoint(
+                label=mix.label,
+                total=fold.total,
+                ipv4_leases=fold.ipv4_leases,
+                rfc8925_grants=fold.rfc8925_grants,
+                intervened=fold.intervened,
+                accurate_v6only=fold.accurate_v6only,
+            )
+        )
+    return points
 
 
 def run_fleet_adoption_sweep_stats(
     mixes: Sequence[FleetMix],
     config: Optional[TestbedConfig] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    min_shard: int = DEFAULT_MIN_SHARD,
     target_site: str = "sc24.supercomputing.org",
-    calibration: Optional[Tuple[ProfileOutcome, ...]] = None,
-) -> Tuple[List[AdoptionPoint], SweepStats, FleetSweepInfo]:
-    """The columnar adoption sweep: calibrate, shard, fold, merge.
-
-    Produces one :class:`AdoptionPoint` per mix, in mix order, with
-    counts that are byte-identical at any ``jobs`` (additive merges
-    over disjoint device ranges).  ``calibration`` lets a caller reuse
-    a previously-measured profile table across repeated sweeps of the
-    same config instead of paying the (small) calibration testbed again.
-    """
-    config = config or TestbedConfig()
-    profiles = distinct_profiles(mixes)
-    index_of = {profile.name: i for i, profile in enumerate(profiles)}
-
-    with owned_executor(executor, jobs=jobs) as ex:
-        tables = _calibration_tables(profiles, config, target_site, calibration)
-
-        payloads = []
-        costs: List[float] = []
-        for mix_index, mix in enumerate(mixes):
-            runs = _runs_for_mix(mix, index_of)
-            for start, stop in chunk_ranges(mix.total, ex.jobs, min_shard):
-                payloads.append((mix_index, start, stop, runs, tables))
-                costs.append(float(stop - start))
-        specs = make_shards(payloads, base_seed=config.seed, costs=costs)
-
-        folds = [AdoptionFold() for _ in mixes]
-        censuses = [CensusFold() for _ in mixes]
-        for mix_index, fold, census in ex.map(_fold_fleet_range, specs, label="fleet sweep"):
-            folds[mix_index].merge(fold)
-            censuses[mix_index].merge(census)
-        stats = ex.last_stats
-
-    points = _points_from_folds(mixes, folds)
-    info = _sweep_info(mixes, profiles, len(specs), stats)
-    return points, stats, info
-
-
-def _calibration_tables(
-    profiles: Sequence[OsProfile],
-    config: TestbedConfig,
-    target_site: str,
-    calibration: Optional[Tuple[ProfileOutcome, ...]],
-) -> Dict[str, bytes]:
-    """Measure (or validate a reused) calibration; build translate tables."""
-    if calibration is None:
-        calibration = calibrate_profiles(list(profiles), config, target_site=target_site)
-    elif len(calibration) != len(profiles):
-        raise ValueError(
-            f"calibration covers {len(calibration)} profiles, sweep needs {len(profiles)}"
-        )
-    return outcome_tables(calibration)
-
-
-def _points_from_folds(
-    mixes: Sequence[FleetMix], folds: Sequence[AdoptionFold]
-) -> List[AdoptionPoint]:
-    return [
-        AdoptionPoint(
-            label=mix.label,
-            total=fold.total,
-            ipv4_leases=fold.ipv4_leases,
-            rfc8925_grants=fold.rfc8925_grants,
-            intervened=fold.intervened,
-            accurate_v6only=fold.accurate_v6only,
-        )
-        for mix, fold in zip(mixes, folds)
-    ]
-
-
-def _sweep_info(
-    mixes: Sequence[FleetMix],
-    profiles: Sequence[OsProfile],
-    shard_count: int,
-    stats: SweepStats,
-) -> FleetSweepInfo:
-    return FleetSweepInfo(
-        devices=sum(mix.total for mix in mixes),
-        stages=len(mixes),
-        distinct_profiles=len(profiles),
-        shard_count=shard_count,
-        bytes_per_device=float(len(fl.ALL_COLUMNS)),
-        transport=stats.transport,
-        ipc_bytes=stats.total_ipc_bytes,
-    )
-
-
-def run_fleet_population_stats(
-    mixes: Sequence[FleetMix],
-    config: Optional[TestbedConfig] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    min_shard: int = DEFAULT_MIN_SHARD,
-    target_site: str = "sc24.supercomputing.org",
-    calibration: Optional[Tuple[ProfileOutcome, ...]] = None,
-    transport: str = "auto",
-    keep_states: bool = False,
-) -> Tuple[List[AdoptionPoint], SweepStats, FleetSweepInfo, List[Optional[fl.FleetState]]]:
-    """The population sweep: like the adoption sweep, but the parent ends
-    up holding every stage's evaluated *columns*, not just the counts.
-
-    This is the path where the transport matters.  Workers evaluate
-    their range and hand the columns back either as pickled bytes
-    (``transport="pickle"`` — ~7 B/device crosses the pipe) or by
-    writing them into a per-stage :class:`SharedColumnArena` window
-    (``transport="shm"`` — only the O(1) fold struct pickles).  Either
-    way the parent reconstructs each stage's merged
-    :class:`~repro.sim.fleet.FleetState` byte-identically — a sanity
-    cross-check against the workers' additive folds runs on every stage
-    — and the points it returns are byte-identical to
-    :func:`run_fleet_adoption_sweep_stats` at any ``jobs``, any
-    transport and any chunk geometry.
-
-    ``keep_states=True`` returns the per-stage states (tests byte-diff
-    them across transports); the default drops each stage's state after
-    its cross-check so peak RSS stays bounded by one stage, not the
-    whole sweep.  Arena segments are created per stage and released in
-    a ``finally`` — a crashed sweep leaks nothing.
-    """
-    config = config or TestbedConfig()
-    profiles = distinct_profiles(mixes)
-    index_of = {profile.name: i for i, profile in enumerate(profiles)}
-
-    with owned_executor(executor, jobs=jobs, transport=transport) as ex:
-        tables = _calibration_tables(profiles, config, target_site, calibration)
-
-        payloads = []
-        costs: List[float] = []
-        arenas: List[Optional[SharedColumnArena]] = []
-        stage_slots: List[List[int]] = []  # payload indices per stage, slot order
-        for mix_index, mix in enumerate(mixes):
-            runs = _runs_for_mix(mix, index_of)
-            ranges = chunk_ranges(mix.total, ex.jobs, min_shard)
-            arena = ex.open_arena(fl.ALL_COLUMNS, mix.total, ranges)
-            arenas.append(arena)
-            slots: List[int] = []
-            for slot, (start, stop) in enumerate(ranges):
-                window: Optional[ArenaWindow] = (
-                    arena.window(slot) if arena is not None else None
-                )
-                slots.append(len(payloads))
-                payloads.append((mix_index, start, stop, runs, tables, window))
-                costs.append(float(stop - start))
-            stage_slots.append(slots)
-        specs = make_shards(payloads, base_seed=config.seed, costs=costs)
-
-        try:
-            values = ex.map(_export_fleet_range, specs, label="fleet population sweep")
-            stats = ex.last_stats
-
-            folds = [AdoptionFold() for _ in mixes]
-            censuses = [CensusFold() for _ in mixes]
-            for value in values:
-                mix_i, fold, census = value[0], value[1], value[2]
-                folds[mix_i].merge(fold)
-                censuses[mix_i].merge(census)
-
-            # Drain stage by stage: verify stamps, rebuild the merged
-            # columns, cross-check against the folds, then release the
-            # stage's arena so peak RSS tracks one stage's columns.
-            states: List[Optional[fl.FleetState]] = []
-            for mix_index, mix in enumerate(mixes):
-                arena = arenas[mix_index]
-                if arena is None:
-                    # Pickle transport: merge the shipped column bytes.
-                    state = fl.FleetState(mix.total)
-                    for payload_index in stage_slots[mix_index]:
-                        _mix, start, stop, *_rest = specs[payload_index].payload
-                        columns = values[payload_index][3]
-                        state.import_range(start, stop, columns)
-                else:
-                    # Shm transport: accept each window's stamp against
-                    # the generation its accepted result committed with,
-                    # then copy the merged columns out of the arena.
-                    for slot, payload_index in enumerate(stage_slots[mix_index]):
-                        committed = values[payload_index][4]
-                        arena.verify(slot, committed)
-                    state = fl.FleetState.from_buffers(
-                        mix.total, dict(arena.iter_buffers())
-                    )
-                    ex.release_arena(arena)
-                    arenas[mix_index] = None
-                _check_stage(state, folds[mix_index], mix.label)
-                states.append(state if keep_states else None)
-        finally:
-            for arena in arenas:
-                ex.release_arena(arena)
-
-    points = _points_from_folds(mixes, folds)
-    info = _sweep_info(mixes, profiles, len(specs), stats)
-    return points, stats, info, states
-
-
-def _check_stage(state: fl.FleetState, fold: AdoptionFold, label: str) -> None:
-    """Cross-check the reconstructed columns against the workers' folds.
-
-    Two C-speed column counts per stage — cheap at any scale, and they
-    would catch a misplaced window or a torn transport copy that the
-    stamp protocol structurally cannot (e.g. a wrong offset that still
-    committed cleanly).
-    """
-    leases = state.count("dhcp4", fl.DHCP4_LEASED)
-    grants = state.count("dhcp4", fl.DHCP4_V6ONLY_GRANT)
-    if state.size != fold.total or leases != fold.ipv4_leases or grants != fold.rfc8925_grants:
-        raise RuntimeError(
-            f"fleet stage {label!r}: reconstructed columns disagree with worker "
-            f"folds (size {state.size}/{fold.total}, leases {leases}/"
-            f"{fold.ipv4_leases}, grants {grants}/{fold.rfc8925_grants}) — "
-            "transport corruption"
-        )
+    calibration: Optional[Sequence[ProfileOutcome]] = None,
+) -> Tuple[List[AdoptionPoint], FleetSweepInfo]:
+    """Calibrate, then fold every stage: the points plus the sweep's shape."""
+    tables = calibrate_fleet(mixes, config, target_site, calibration)
+    return fold_fleet(mixes, tables), FleetSweepInfo.for_mixes(mixes)
 
 
 def run_fleet_adoption_sweep(
-    mixes: Sequence[FleetMix],
-    config: Optional[TestbedConfig] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    min_shard: int = DEFAULT_MIN_SHARD,
+    mixes: Sequence[FleetMix], config: Optional[TestbedConfig] = None
 ) -> List[AdoptionPoint]:
-    """Fleet-scale adoption trajectory (columnar fast path)."""
-    points, _stats, _info = run_fleet_adoption_sweep_stats(
-        mixes, config, jobs=jobs, executor=executor, min_shard=min_shard
-    )
+    """Fleet-scale adoption trajectory (closed form over profile runs)."""
+    points, _info = run_fleet_adoption_sweep_stats(mixes, config)
     return points

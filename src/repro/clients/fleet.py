@@ -1,7 +1,7 @@
-"""Per-profile outcome calibration for the columnar fleet path.
+"""Per-profile outcome calibration for the fleet-scale sweep.
 
-The key observation behind the million-host engine: in an adoption
-sweep every device of one OS profile, brought onto the same testbed
+The key observation behind fleet-scale sweeps: in an adoption sweep
+every device of one OS profile, brought onto the same testbed
 configuration, exhibits the same observable outcome — the simulation is
 deterministic and clients only talk to the infrastructure, never to
 each other (the same independence the sharded device matrix already
@@ -10,15 +10,17 @@ relies on).  So the per-device cost of a fleet sweep collapses to:
 1. **calibrate** — run ONE live packet-level client per *distinct*
    profile on a real :class:`repro.core.testbed.Testbed` and record its
    outcome as a compact :class:`ProfileOutcome` (this module);
-2. **broadcast** — translate the per-profile outcomes across the whole
-   population's profile column with ``bytes.translate``
-   (:meth:`repro.sim.fleet.FleetState.apply_outcomes`);
-3. **fold** — aggregate columns into the streaming accumulators of
-   :mod:`repro.core.metrics` with C-speed ``bytearray.count``.
+2. **tabulate** — turn each profile's outcome into one byte per
+   observable column, as 256-byte tables indexed by profile code
+   (:func:`outcome_tables`);
+3. **fold** — sum each stage's ``(profile, count)`` runs into the
+   streaming accumulators of :mod:`repro.core.metrics`, binned by
+   those tables (:func:`repro.analysis.fleet.fold_runs`).
 
 Step 1 keeps full protocol fidelity (DHCP option 108, RA/RDNSS, DNS64,
 the poisoned resolver, NAT64 — all real simulated frames); steps 2-3
-amortize it over arbitrarily many devices.
+amortize it over arbitrarily many devices at a cost independent of
+their number.
 """
 
 from __future__ import annotations
@@ -197,10 +199,12 @@ def calibrate_profiles(
 
 
 def outcome_tables(outcomes: Sequence[ProfileOutcome]) -> Dict[str, bytes]:
-    """Build the 256-byte translate tables the columnar state consumes.
+    """Build one 256-byte table per outcome column, indexed by profile code.
 
     Profile code ``i`` is position ``i`` in ``outcomes`` — the caller
-    must use the same ordering when filling the profile column.
+    must use the same ordering for its profile runs.  The fleet fold
+    looks codes up directly; :class:`repro.sim.fleet.FleetState` feeds
+    the same tables to ``bytes.translate``.
     """
     if len(outcomes) > 256:
         raise ValueError(f"at most 256 distinct profiles per fleet, got {len(outcomes)}")

@@ -92,7 +92,7 @@ class CensusFold:
     """Streaming census counters: constant memory, no per-client rows.
 
     The fold is the million-host path — observations update counters
-    and are forgotten, and disjoint folds (one per fleet shard) merge
+    and are forgotten, and disjoint folds (one per shard) merge
     by plain addition, so the counts are independent of how a sweep was
     sharded.  :class:`ClientCensus` layers the row-keeping table view
     on top of this same fold, which is how the two stay byte-identical.
@@ -225,9 +225,10 @@ class AdoptionFold:
     Replaces the three full passes over a retained client list with one
     constant-memory fold: each device contributes its flags once (via
     :meth:`add_device`), or a whole block of identically-behaving
-    devices contributes at once (via :meth:`add_bulk`, the columnar
-    fleet path).  Disjoint folds merge by addition, so a stage sharded
-    across workers produces exactly the serial counts.
+    devices contributes at once (via :meth:`add_bulk`, one call per
+    profile run in the closed-form fleet sweep).  Disjoint folds merge
+    by addition, so a stage sharded across workers produces exactly the
+    serial counts.
     """
 
     total: int = 0
@@ -293,12 +294,9 @@ class ShardStats:
 
     ``wall_s`` is the worker-measured wall clock for the shard;
     ``events``/``sim_seconds``/``queries`` come from the shard's
-    simulation engine when the worker reported them.  ``ipc_bytes``
-    counts bulk payload bytes that crossed (or, on the serial backend,
-    would have crossed) the transport boundary — the shared-memory
-    transport reports ~0 here because columns travel through the arena.
-    A non-``None`` ``error`` marks the shard's structured failure row
-    (it exhausted its one retry).
+    simulation engine when the worker reported them.  A non-``None``
+    ``error`` marks the shard's structured failure row (it exhausted its
+    one retry).
     """
 
     index: int
@@ -307,7 +305,6 @@ class ShardStats:
     events: int = 0
     sim_seconds: float = 0.0
     queries: int = 0
-    ipc_bytes: int = 0
     attempts: int = 1
     error: Optional[str] = None
 
@@ -323,16 +320,11 @@ class SweepStats:
     ``wall_s`` is the parent-observed elapsed time for the whole sweep;
     the shards' summed wall clock divided by it is the *effective
     parallelism* the pool achieved (≈1.0 serial, →``jobs`` ideally).
-    ``transport`` records how bulk shard data travelled: ``"pickle"``
-    through the pool's pipe, ``"shm"`` through a shared-memory column
-    arena (fold-only sweeps always report ``"pickle"`` — they have no
-    bulk data to route).
     """
 
     jobs: int
     backend: str
     wall_s: float
-    transport: str = "pickle"
     shards: List[ShardStats] = field(default_factory=list)
 
     @property
@@ -350,11 +342,6 @@ class SweepStats:
     @property
     def total_queries(self) -> int:
         return sum(s.queries for s in self.shards)
-
-    @property
-    def total_ipc_bytes(self) -> int:
-        """Bulk payload bytes that crossed the transport boundary."""
-        return sum(s.ipc_bytes for s in self.shards)
 
     @property
     def failures(self) -> List[ShardStats]:
@@ -377,9 +364,9 @@ class SweepStats:
                 f"{s.queries:>8d} {s.attempts:>5d} {status}"
             )
         lines.append(
-            f"jobs={self.jobs} backend={self.backend} transport={self.transport} "
+            f"jobs={self.jobs} backend={self.backend} "
             f"wall={self.wall_s:.3f}s shard-wall={self.shard_wall_s:.3f}s "
-            f"speedup={self.speedup:.2f}x ipc={self.total_ipc_bytes}B "
+            f"speedup={self.speedup:.2f}x "
             f"failures={len(self.failures)}"
         )
         return "\n".join(lines)

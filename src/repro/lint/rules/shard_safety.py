@@ -13,11 +13,7 @@ only corrupt results under parallel execution:
   (RL402);
 - a worker constructing its own RNG instead of deriving one from the
   shard seed — shard results then depend on scheduling, not on
-  ``derive_seed(base_seed, shard_index)`` (RL403);
-- code outside :mod:`repro.parallel.shm` touching shared-memory
-  segments directly — raw ``shared_memory`` handles or ``.buf`` stores
-  bypass the arena's window bounds and generation-stamp protocol, so a
-  crash can tear bytes the parent will happily read (RL404).
+  ``derive_seed(base_seed, shard_index)`` (RL403).
 
 All three are interprocedural: whether a function is "on a worker
 path" is a reachability question over the whole-program call graph.
@@ -29,8 +25,6 @@ RL401 allowlist entry on a deliberate per-process cache.
 
 from __future__ import annotations
 
-import ast
-
 from repro.lint.core import LintContext, register_rule, Rule
 from repro.lint.program.analyzer import ProgramContext, ProgramReporter
 from repro.lint.program.summary import ModuleSummary
@@ -39,12 +33,7 @@ __all__ = [
     "SharedStateMutation",
     "UnpicklableShardCapture",
     "WorkerRngBypass",
-    "RawArenaAccess",
 ]
-
-#: The one module allowed to hold raw shared-memory handles — everything
-#: else goes through its SharedColumnArena / WindowWriter API.
-_ARENA_MODULE = "repro.parallel.shm"
 
 #: Kinds of module-global values whose *contents* count as shared state
 #: (rebinding the name itself is flagged for every kind).
@@ -164,64 +153,6 @@ class UnpicklableShardCapture(Rule):
                             "state",
                             "hoist the worker to module level; pass captured "
                             "values through ShardPayload",
-                        )
-
-
-def _imports_shared_memory(node: ast.AST) -> bool:
-    """Does an import statement reach ``multiprocessing.shared_memory``?"""
-    if isinstance(node, ast.Import):
-        return any(alias.name.startswith("multiprocessing.shared_memory")
-                   for alias in node.names)
-    if isinstance(node, ast.ImportFrom):
-        module = node.module or ""
-        if module.startswith("multiprocessing.shared_memory"):
-            return True
-        if module == "multiprocessing":
-            return any(alias.name == "shared_memory" for alias in node.names)
-    return False
-
-
-@register_rule
-class RawArenaAccess(Rule):
-    code = "RL404"
-    name = "raw-arena-access"
-    summary = "shared-memory arena bytes touched outside the window API"
-    scope = ("repro",)
-
-    def check(self, ctx: LintContext) -> None:
-        if ctx.module == _ARENA_MODULE:
-            return
-        for node in ast.walk(ctx.tree):
-            if _imports_shared_memory(node):
-                ctx.add(
-                    node,
-                    self.code,
-                    f"`{ctx.module}` imports multiprocessing.shared_memory "
-                    "directly — raw segments bypass the arena's layout, "
-                    "bounds and generation-stamp protocol",
-                    "go through repro.parallel.shm: open_arena() on the "
-                    "executor for the parent, open_window()/WindowWriter "
-                    "for workers",
-                )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Attribute)
-                        and target.value.attr == "buf"
-                    ):
-                        ctx.add(
-                            target,
-                            self.code,
-                            f"`{ctx.module}` stores into a raw shared-memory "
-                            "`.buf` — unbounded writes can cross window edges "
-                            "and skip the commit stamp",
-                            "write through WindowWriter.buffers()/write() and "
-                            "finish with commit() so the parent can verify "
-                            "the slot",
                         )
 
 

@@ -19,18 +19,6 @@ Backend selection:
 
 ``jobs`` resolves from the explicit argument, then the ``REPRO_JOBS``
 environment variable, then ``1``; ``0`` or negative means "all cores".
-
-Transport selection (``transport="auto"|"pickle"|"shm"``):
-
-- ``pickle`` ships every worker return value through the pool's pipe —
-  always correct, and the only option for the serial backend (which has
-  no process boundary at all);
-- ``shm`` additionally lets sweeps :meth:`~SweepExecutor.open_arena` a
-  :class:`~repro.parallel.shm.SharedColumnArena` so workers write bulk
-  columns into shared memory and pickle only O(1) fold structs;
-- ``auto`` picks ``shm`` whenever the process backend and POSIX shared
-  memory are both available, degrading to ``pickle`` gracefully —
-  correctness never depends on the transport, only the IPC bill does.
 """
 
 from __future__ import annotations
@@ -48,22 +36,16 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from repro.core.metrics import ShardStats, SweepStats
 from repro.parallel.shard import ShardPayload, ShardResult, ShardSpec
-from repro.parallel.shm import SharedColumnArena, shm_available
 
 __all__ = [
     "SweepExecutor",
     "owned_executor",
     "plan_chunks",
     "resolve_jobs",
-    "resolve_transport",
     "fork_available",
     "ensure_ok",
     "JOBS_ENV_VAR",
-    "TRANSPORTS",
 ]
-
-#: Valid values of the ``transport`` axis.
-TRANSPORTS = ("auto", "pickle", "shm")
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -99,24 +81,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def fork_available() -> bool:
     """Whether the platform offers the ``fork`` start method (Linux/macOS)."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def resolve_transport(transport: str = "auto", backend: str = "process") -> str:
-    """Resolve a transport request against backend + platform reality.
-
-    Shared-memory transport needs a process boundary to be worth
-    anything and POSIX shared memory to exist; everything else — the
-    serial backend, fork-less or shm-less platforms — degrades to
-    ``pickle``.  An explicit ``transport="shm"`` request degrades the
-    same way (graceful, like the backend fallback) rather than raising:
-    the transports are byte-identical by contract, so the request is a
-    performance preference, not a correctness requirement.
-    """
-    if transport not in TRANSPORTS:
-        raise ValueError(f"unknown transport {transport!r}; choose from {TRANSPORTS}")
-    if transport == "pickle" or backend != "process" or not shm_available():
-        return "pickle"
-    return "shm"
 
 
 def plan_chunks(
@@ -215,7 +179,6 @@ class SweepExecutor:
         backend: str = "auto",
         timeout: Optional[float] = None,
         chunk_size: Optional[int] = None,
-        transport: str = "auto",
     ) -> None:
         if backend not in ("auto", "serial", "process"):
             raise ValueError(f"unknown backend {backend!r}")
@@ -227,12 +190,10 @@ class SweepExecutor:
         elif backend == "auto":
             backend = "process"
         self.backend = backend
-        self.transport = resolve_transport(transport, backend)
         self.timeout = timeout
         self.chunk_size = chunk_size
         self.last_stats: Optional[SweepStats] = None
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._arenas: List[SharedColumnArena] = []
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -244,55 +205,15 @@ class SweepExecutor:
         return self._pool
 
     def _recycle_pool(self) -> None:
-        """Drop a poisoned pool (crash/timeout); the next use forks afresh.
-
-        Every registered arena's generation bumps at the same moment, so
-        a window half-written by the dead pool — or late-written by an
-        orphaned worker that survived a timeout — can never pass stamp
-        verification against a result the retry pool produced.
-        """
+        """Drop a poisoned pool (crash/timeout); the next use forks afresh."""
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-        for arena in self._arenas:
-            arena.bump_generation()
-
-    def open_arena(
-        self,
-        columns: Sequence[str],
-        column_size: int,
-        ranges: Sequence[Tuple[int, int]],
-    ) -> Optional[SharedColumnArena]:
-        """Create + register a shard arena, or ``None`` on pickle transport.
-
-        The executor tracks every arena it opens: pool recycling bumps
-        their generations and :meth:`close` releases any the sweep did
-        not already hand back to :meth:`release_arena` — segments never
-        outlive the executor, even on the exception path.
-        """
-        if self.transport != "shm" or column_size <= 0 or not ranges:
-            return None
-        arena = SharedColumnArena.create(columns, column_size, ranges)
-        self._arenas.append(arena)
-        return arena
-
-    def release_arena(self, arena: Optional[SharedColumnArena]) -> None:
-        """Unlink one arena's segment now (idempotent; ``None`` is a no-op)."""
-        if arena is None:
-            return
-        if arena in self._arenas:
-            self._arenas.remove(arena)
-        arena.release()
 
     def close(self) -> None:
-        try:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
-        finally:
-            arenas, self._arenas = self._arenas, []
-            for arena in arenas:
-                arena.release()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -312,10 +233,6 @@ class SweepExecutor:
         call, :attr:`last_stats` holds the merged per-shard statistics.
         """
         spec_list = list(specs)
-        # An arena registered before the run means this sweep routes its
-        # bulk data through shared memory; fold-only sweeps are plain
-        # pickle regardless of what the executor *could* do.
-        used_transport = self.transport if self._arenas else "pickle"
         start = time.perf_counter()
         if not spec_list:
             results: List[ShardResult] = []
@@ -331,7 +248,6 @@ class SweepExecutor:
             jobs=self.jobs,
             backend=used,
             wall_s=wall,
-            transport=used_transport,
             shards=[
                 ShardStats(
                     index=r.index,
@@ -340,7 +256,6 @@ class SweepExecutor:
                     events=r.events,
                     sim_seconds=r.sim_seconds,
                     queries=r.queries,
-                    ipc_bytes=r.ipc_bytes,
                     attempts=r.attempts,
                     error=r.error,
                 )
@@ -456,7 +371,6 @@ class SweepExecutor:
             result.events = value.events
             result.sim_seconds = value.sim_seconds
             result.queries = value.queries
-            result.ipc_bytes = value.ipc_bytes
         else:
             result.value = value
         return result
@@ -471,8 +385,8 @@ def owned_executor(
     The one idiom every ``repro.analysis`` sweep uses: a caller-supplied
     executor stays the caller's to close (warm pools survive across
     sweep points), while an executor this context constructed is always
-    closed on exit — fork pools and shared-memory arenas never outlive
-    the sweep that created them, without any ``__del__`` finalizer.
+    closed on exit — fork pools never outlive the sweep that created
+    them, without any ``__del__`` finalizer.
     """
     if executor is not None:
         yield executor

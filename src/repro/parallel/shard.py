@@ -19,15 +19,13 @@ the serial and process backends, so a sweep's per-shard RNG streams
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence
 
 from repro._compat import slotted_dataclass
 
 __all__ = [
     "derive_seed",
-    "chunk_ranges",
     "make_shards",
-    "make_range_shards",
     "ShardSpec",
     "ShardPayload",
     "ShardResult",
@@ -100,12 +98,6 @@ class ShardPayload:
     events: int = 0
     sim_seconds: float = 0.0
     queries: int = 0
-    #: Payload bytes that crossed (or would cross) the transport
-    #: boundary for bulk data — the fleet's per-device columns.  The
-    #: pickle transport counts its shipped column bytes here; the shm
-    #: transport reports 0 (columns travel through the arena, and the
-    #: fold struct itself is O(1) per shard on both transports).
-    ipc_bytes: int = 0
 
 
 @slotted_dataclass()
@@ -124,7 +116,6 @@ class ShardResult:
     events: int = 0
     sim_seconds: float = 0.0
     queries: int = 0
-    ipc_bytes: int = 0
     attempts: int = 1
     error: Optional[str] = None
 
@@ -152,51 +143,3 @@ def make_shards(
             ShardSpec(index=i, seed=derive_seed(base_seed, i), payload=payload, cost=cost)
         )
     return specs
-
-
-def chunk_ranges(total: int, jobs: int, min_chunk: int = 1) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into contiguous balanced ``(start, stop)`` chunks.
-
-    Aims for ~4 chunks per worker (amortizing dispatch while keeping
-    the pool load-balanced), never slicing below ``min_chunk`` items —
-    fleet shards use a large floor so a small population does not fan
-    out into per-device crumbs.
-    """
-    if total <= 0:
-        return []
-    chunk_count = max(1, min(max(1, jobs) * 4, total // max(1, min_chunk)))
-    base, extra = divmod(total, chunk_count)
-    ranges: List[Tuple[int, int]] = []
-    start = 0
-    for i in range(chunk_count):
-        size = base + (1 if i < extra else 0)
-        if size == 0:
-            continue
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
-def make_range_shards(
-    total: int,
-    base_seed: int,
-    jobs: int,
-    min_chunk: int = 1,
-    payload: Any = None,
-) -> List[ShardSpec]:
-    """Specs for contiguous device-range chunks of ``range(total)``.
-
-    Each spec's payload is ``(start, stop, payload)``; seeds follow
-    :func:`derive_seed` on the chunk index.  Aggregations folded from
-    these shards must be chunk-boundary-independent (plain additive
-    merges) so the merged result is byte-identical at any ``jobs`` —
-    the fleet folds in :mod:`repro.analysis.fleet` are built that way.
-    Each spec's ``cost`` is its range length, feeding the executor's
-    size-weighted chunk planner.
-    """
-    ranges = chunk_ranges(total, jobs, min_chunk)
-    return make_shards(
-        [(start, stop, payload) for start, stop in ranges],
-        base_seed=base_seed,
-        costs=[float(stop - start) for start, stop in ranges],
-    )

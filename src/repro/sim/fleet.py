@@ -1,15 +1,17 @@
-"""Struct-of-arrays fleet state: million-host device populations.
+"""Struct-of-arrays fleet state: a materialised device population.
 
 The object-graph path (:class:`repro.sim.host.Host` behind a
 :class:`repro.clients.device.ClientDevice`) costs kilobytes of Python
-objects per device — interface, stack, resolver, sockets — which is the
-right fidelity for tens of hosts on one broadcast domain and the wrong
-one for a million-device adoption sweep.  This module is the flyweight
-alternative: one :class:`FleetState` holds the whole population as
-parallel byte columns, one byte per device per observable, and all
-behaviour stays in the shared profile tables (:mod:`repro.clients.
-profiles` evaluated once per distinct profile by
-:mod:`repro.clients.fleet`).
+objects per device.  One :class:`FleetState` instead holds a population
+as parallel byte columns, one byte per device per observable, with all
+behaviour in the shared profile tables (:mod:`repro.clients.profiles`
+evaluated once per distinct profile by :mod:`repro.clients.fleet`).
+
+The fleet sweep itself never builds one: every outcome column is
+``tables[column][profile_code]``, so its counts have a closed form over
+the profile runs (:func:`repro.analysis.fleet.fold_runs`).  This module
+is the per-device reference that closed form is tested against, and
+the column codes both share.
 
 Layout invariants (see DESIGN.md "Fleet-scale state"):
 
@@ -26,10 +28,9 @@ Layout invariants (see DESIGN.md "Fleet-scale state"):
   ``bytearray.count`` and fold into the streaming accumulators of
   :mod:`repro.core.metrics`.
 
-The columns deliberately mirror what the object path can observe about
-a client (addressing mode, DHCPv4/RA state, DNS outcome, Happy-Eyeballs
-verdict, census class) so later PRs can diverge *individual* rows —
-fault injection, per-device jitter — without changing the layout.
+The columns mirror what the object path can observe about a client
+(addressing mode, DHCPv4/RA state, DNS outcome, Happy-Eyeballs verdict,
+census class).
 """
 
 from __future__ import annotations
@@ -93,8 +94,7 @@ HE_OK_V6 = 2
 #: calibration layer (see :data:`repro.clients.fleet.CENSUS_CODES`).
 OUTCOME_COLUMNS: Tuple[str, ...] = ("addressing", "dhcp4", "ra6", "dns", "he", "census")
 
-#: Every column a :class:`FleetState` holds, in canonical layout order —
-#: the order the shared-memory transport lays columns out in an arena.
+#: Every column a :class:`FleetState` holds, in canonical layout order.
 ALL_COLUMNS: Tuple[str, ...] = ("profile",) + OUTCOME_COLUMNS
 
 
@@ -168,69 +168,6 @@ class FleetState:
             if len(table) != 256:
                 raise ValueError(f"table for {column!r} has {len(table)} entries, not 256")
             setattr(self, column, bytearray(profile.translate(table)))
-
-    # -- column transport ----------------------------------------------------
-    #
-    # The parallel fleet path moves whole columns between processes —
-    # pickled (export/import) or through externally-owned shared-memory
-    # buffers (write_into/from_buffers).  All four are straight C-level
-    # copies in canonical ALL_COLUMNS order; none ever iterates devices.
-
-    def export_columns(self) -> Dict[str, bytes]:
-        """Immutable snapshot of every column, keyed by name.
-
-        The pickle transport's bulk payload: ~``bytes_per_device`` bytes
-        per device cross the pipe when a worker returns this.
-        """
-        return {name: bytes(self.column(name)) for name in ALL_COLUMNS}
-
-    def import_range(self, start: int, stop: int, columns: Mapping[str, bytes]) -> None:
-        """Copy exported columns for devices ``[start, stop)`` into place."""
-        if not 0 <= start <= stop <= self.size:
-            raise ValueError(f"range ({start}, {stop}) outside fleet of {self.size}")
-        for name in ALL_COLUMNS:
-            data = columns[name]
-            if len(data) != stop - start:
-                raise ValueError(
-                    f"column {name!r} carries {len(data)} bytes for a "
-                    f"{stop - start}-device range"
-                )
-            self.column(name)[start:stop] = data
-
-    def write_into(self, buffers: Mapping[str, memoryview]) -> None:
-        """Copy every column into externally-owned writable buffers.
-
-        ``buffers`` maps column name → a ``memoryview`` of exactly
-        ``size`` bytes (a shared-memory arena window, typically); each
-        column lands with one slice assignment.
-        """
-        for name in ALL_COLUMNS:
-            target = buffers[name]
-            if len(target) != self.size:
-                raise ValueError(
-                    f"buffer for column {name!r} holds {len(target)} bytes, "
-                    f"fleet needs {self.size}"
-                )
-            target[:] = self.column(name)
-
-    @classmethod
-    def from_buffers(cls, size: int, buffers: Mapping[str, memoryview]) -> "FleetState":
-        """Rebuild a fleet by copying columns out of external buffers.
-
-        The read-back half of the shared-memory transport: the parent
-        materializes the merged population from arena views with one
-        C-level copy per column.
-        """
-        state = cls(size)
-        for name in ALL_COLUMNS:
-            data = buffers[name]
-            if len(data) != size:
-                raise ValueError(
-                    f"buffer for column {name!r} holds {len(data)} bytes, "
-                    f"fleet needs {size}"
-                )
-            setattr(state, name, bytearray(data))
-        return state
 
     # -- aggregation ---------------------------------------------------------
 

@@ -1,16 +1,28 @@
-"""The columnar fleet sweep: equivalence, determinism and memory scaling."""
+"""The closed-form fleet sweep: equivalence, golden tables, memory scaling."""
 
+import contextlib
+import io
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import __main__ as cli
 
 from repro.analysis.adoption import (
+    FleetMix,
     run_adoption_sweep,
-    sweep_table,
     windows_refresh_mixes,
 )
 from repro.analysis.fleet import (
-    _slice_runs,
+    _fold_state,
+    _runs_for_mix,
+    calibrate_fleet,
+    distinct_profiles,
+    fold_fleet,
+    fold_runs,
     run_fleet_adoption_sweep,
     run_fleet_adoption_sweep_stats,
 )
@@ -23,7 +35,10 @@ from repro.clients.profiles import (
     WINDOWS_11_RFC8925,
 )
 from repro.core.testbed import Testbed, TestbedConfig
+from repro.parallel import SweepExecutor
 from repro.sim.fleet import FleetState, OUTCOME_COLUMNS
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 
 
 def as_tuples(points):
@@ -37,7 +52,7 @@ def test_fleet_sweep_matches_object_path():
     """The tentpole equivalence: per-profile calibration broadcast over
     columns must reproduce the live-client sweep's counts exactly."""
     mixes = windows_refresh_mixes(fleet_size=12)
-    assert as_tuples(run_fleet_adoption_sweep(mixes, min_shard=4)) == as_tuples(
+    assert as_tuples(run_fleet_adoption_sweep(mixes)) == as_tuples(
         run_adoption_sweep(mixes)
     )
 
@@ -45,23 +60,85 @@ def test_fleet_sweep_matches_object_path():
 def test_fleet_sweep_equivalence_with_intervention_off():
     config = TestbedConfig(poisoned_dns=False)
     mixes = windows_refresh_mixes(fleet_size=10)
-    assert as_tuples(run_fleet_adoption_sweep(mixes, config, min_shard=4)) == as_tuples(
+    assert as_tuples(run_fleet_adoption_sweep(mixes, config)) == as_tuples(
         run_adoption_sweep(mixes, config)
     )
 
 
-def test_fleet_sweep_byte_identical_at_any_jobs():
-    mixes = windows_refresh_mixes(fleet_size=1000)
-    serial = sweep_table(run_fleet_adoption_sweep(mixes, jobs=1, min_shard=64))
-    sharded = sweep_table(run_fleet_adoption_sweep(mixes, jobs=4, min_shard=64))
-    assert serial == sharded
+def run_cli(*argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+    return stdout.getvalue()
 
 
-def test_fleet_sweep_independent_of_shard_geometry():
-    mixes = windows_refresh_mixes(fleet_size=997)  # prime: awkward chunking
-    coarse = run_fleet_adoption_sweep(mixes, min_shard=100_000)
-    fine = run_fleet_adoption_sweep(mixes, min_shard=7)
-    assert as_tuples(coarse) == as_tuples(fine)
+@pytest.mark.parametrize("devices", [100_000, 200_000, 1_000_000, 10_000_000])
+def test_fleet_cli_matches_golden_table(devices):
+    """``python -m repro fleet`` stdout, pinned byte-for-byte to tables
+    captured from the materialised columnar sweep this closed form
+    replaced."""
+    golden = (GOLDEN / f"fleet_{devices}.txt").read_text()
+    assert run_cli("fleet", "--devices", str(devices), "--jobs", "2") == golden
+
+
+def test_fleet_cli_starts_no_worker_pool(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the fleet command dispatched shards")
+
+    monkeypatch.setattr(SweepExecutor, "run", refuse)
+    assert run_cli("fleet", "--devices", "1000", "--jobs", "4").startswith("stage")
+
+
+_CALIBRATIONS = {}
+
+
+def _calibration_by_name(poisoned_dns):
+    """Every profile calibrated once per intervention setting."""
+    if poisoned_dns not in _CALIBRATIONS:
+        outcomes = calibrate_profiles(ALL_PROFILES, TestbedConfig(poisoned_dns=poisoned_dns))
+        _CALIBRATIONS[poisoned_dns] = {outcome.name: outcome for outcome in outcomes}
+    return _CALIBRATIONS[poisoned_dns]
+
+
+@st.composite
+def run_length_mixes(draw):
+    """A stage of up to 8 distinct profiles in up to 12 runs; a profile
+    may recur in non-adjacent runs and a run may be empty."""
+    codes = draw(
+        st.lists(st.integers(0, len(ALL_PROFILES) - 1), min_size=1, max_size=8, unique=True)
+    )
+    runs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(codes), st.integers(0, 10**5)), min_size=1, max_size=12
+        )
+    )
+    return FleetMix(devices=tuple((ALL_PROFILES[code], count) for code, count in runs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mix=run_length_mixes(), poisoned_dns=st.booleans())
+def test_closed_form_equals_materialised_fold(mix, poisoned_dns):
+    by_name = _calibration_by_name(poisoned_dns)
+    profiles = distinct_profiles([mix])
+    tables = calibrate_fleet([mix], calibration=[by_name[p.name] for p in profiles])
+    runs = _runs_for_mix(mix, {p.name: i for i, p in enumerate(profiles)})
+
+    state = FleetState(mix.total)
+    state.fill_runs(runs)
+    state.apply_outcomes(tables)
+    expected_fold, expected_census = _fold_state(state)
+
+    assert fold_runs(runs, tables) == (expected_fold, expected_census)
+    assert as_tuples(fold_fleet([mix], tables)) == [
+        (
+            "",
+            expected_fold.total,
+            expected_fold.ipv4_leases,
+            expected_fold.rfc8925_grants,
+            expected_fold.intervened,
+            expected_fold.accurate_v6only,
+        )
+    ]
 
 
 def test_fleet_sweep_scales_without_v4_pool_exhaustion():
@@ -78,14 +155,10 @@ def test_fleet_sweep_scales_without_v4_pool_exhaustion():
 
 def test_fleet_info_accounting():
     mixes = windows_refresh_mixes(fleet_size=100)
-    _points, stats, info = run_fleet_adoption_sweep_stats(mixes, jobs=2, min_shard=10)
+    _points, info = run_fleet_adoption_sweep_stats(mixes)
     assert info.devices == 5 * 100
     assert info.stages == 5
     assert info.distinct_profiles == 4
-    assert info.shard_count >= 5
-    assert info.bytes_per_device == 7.0
-    assert stats.jobs == 2
-    assert not stats.failures
 
 
 def test_calibration_reuse_and_mismatch():
@@ -95,6 +168,14 @@ def test_calibration_reuse_and_mismatch():
     calibration = calibrate_profiles(profiles, config)
     with pytest.raises(ValueError, match="calibration covers 3"):
         run_fleet_adoption_sweep_stats(mixes, config, calibration=calibration)
+
+    full = calibrate_profiles(distinct_profiles(mixes), config)
+    reused, _info = run_fleet_adoption_sweep_stats(mixes, config, calibration=full)
+    assert as_tuples(reused) == as_tuples(run_fleet_adoption_sweep(mixes, config))
+    # Right length, wrong order: profile codes would read the wrong
+    # outcome (97/73/49/24/0 intervened at 100 devices instead of 1).
+    with pytest.raises(ValueError, match="position 0 measured 'Legacy IoT'"):
+        run_fleet_adoption_sweep_stats(mixes, config, calibration=tuple(reversed(full)))
 
 
 def test_calibration_outcomes_cover_observables():
@@ -119,15 +200,6 @@ def test_outcome_tables_reject_oversized_fleets():
     outcome = calibrate_profiles([WINDOWS_10], config)[0]
     with pytest.raises(ValueError, match="256"):
         outcome_tables([outcome] * 257)
-
-
-def test_slice_runs_covers_ranges():
-    runs = [(1, 5), (2, 3), (3, 4)]
-    assert _slice_runs(runs, 0, 12) == runs
-    assert _slice_runs(runs, 0, 5) == [(1, 5)]
-    assert _slice_runs(runs, 4, 9) == [(1, 1), (2, 3), (3, 1)]
-    assert _slice_runs(runs, 8, 12) == [(3, 4)]
-    assert _slice_runs(runs, 6, 7) == [(2, 1)]
 
 
 def test_fleet_memory_at_least_5x_smaller_per_device():

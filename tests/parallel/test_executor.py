@@ -1,4 +1,5 @@
-"""The sweep executor: backends, retry, timeout, stats, job resolution.
+"""The sweep executor: backends, retry, timeout, stats, job resolution,
+chunk planning and executor ownership.
 
 Worker functions live at module level so the process backend can pickle
 them by reference; with the ``fork`` start method the forked workers
@@ -17,6 +18,8 @@ from repro.parallel import (
     fork_available,
     JOBS_ENV_VAR,
     make_shards,
+    owned_executor,
+    plan_chunks,
     resolve_jobs,
     ShardPayload,
     ShardSpec,
@@ -247,3 +250,62 @@ class TestSweepStatsTable:
         table = stats.table()
         assert "FAILED" in table
         assert "failures=2" in table
+
+
+class TestPlanChunks:
+    def _specs(self, costs):
+        return make_shards(list(range(len(costs))), base_seed=0, costs=costs)
+
+    def test_explicit_chunk_size_is_fixed_slicing(self):
+        specs = self._specs([1.0] * 7)
+        plan = plan_chunks(specs, jobs=4, chunk_size=3)
+        assert [len(c) for c in plan] == [3, 3, 1]
+
+    def test_covers_all_specs_in_order(self):
+        specs = self._specs([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+        plan = plan_chunks(specs, jobs=2)
+        flat = [spec for chunk in plan for spec in chunk]
+        assert [s.index for s in flat] == [s.index for s in specs]
+
+    def test_deterministic_for_same_inputs(self):
+        costs = [float((i * 37) % 11 + 1) for i in range(40)]
+        a = plan_chunks(self._specs(costs), jobs=4)
+        b = plan_chunks(self._specs(costs), jobs=4)
+        assert [[s.index for s in c] for c in a] == [[s.index for s in c] for c in b]
+
+    def test_cost_weighting_shrinks_toward_the_tail(self):
+        """Uniform costs: early chunks are large (amortized dispatch),
+        the tail splits into single-spec chunks for redistribution."""
+        plan = plan_chunks(self._specs([1.0] * 64), jobs=4)
+        assert len(plan[0]) > 1
+        assert len(plan[-1]) == 1
+        assert len(plan) > 4  # more chunks than workers: work can rebalance
+
+    def test_heavy_spec_closes_its_chunk(self):
+        """A spec whose cost exceeds the chunk target ends the chunk:
+        cheap specs after it can never be serialized behind it."""
+        plan = plan_chunks(self._specs([1.0, 1.0, 100.0, 1.0, 1.0]), jobs=2)
+        (heavy,) = [c for c in plan if any(s.index == 2 for s in c)]
+        assert heavy[-1].index == 2
+
+
+class TestOwnedExecutor:
+    def test_no_del_finalizer(self):
+        # Shutdown is structural (context managers all the way down),
+        # never interpreter-dependent garbage collection.
+        assert "__del__" not in SweepExecutor.__dict__
+
+    def test_constructed_executor_is_closed(self):
+        with owned_executor(None, jobs=2) as executor:
+            executor.run(_double, make_shards([1, 2], base_seed=0))
+            assert executor.last_stats is not None
+        assert executor._pool is None
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_borrowed_executor_stays_open(self):
+        with SweepExecutor(jobs=2) as outer:
+            outer.run(_double, make_shards([1, 2], base_seed=0))
+            pool = outer._pool
+            with owned_executor(outer, jobs=4) as inner:
+                assert inner is outer
+            assert outer._pool is pool  # context did not close the warm pool
