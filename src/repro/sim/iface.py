@@ -11,7 +11,7 @@ across real stacks.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.net.addresses import (
     IPv4Address,
@@ -40,7 +40,7 @@ from repro.net.lazy import decode_ipv4_cached, decode_ipv6_cached, LazyEthernetF
 from repro.sim.engine import EventEngine
 from repro.sim.node import Port
 
-__all__ = ["L2Interface"]
+__all__ = ["FrameView", "L2Interface"]
 
 IPV4_BROADCAST = IPv4Address("255.255.255.255")
 ALL_NODES_V6 = IPv6Address("ff02::1")
@@ -75,6 +75,59 @@ def _mac_from_wire(raw: bytes) -> MacAddress:
     """The inverse of :func:`_mac_wire`, memoized for the same reason:
     source MACs on a link repeat constantly."""
     return MacAddress(int.from_bytes(raw, "big"))
+
+
+#: Marks a :class:`FrameView` field not decoded yet (``None`` means
+#: decoded and malformed).
+_UNDECODED: Any = object()
+
+
+class FrameView:
+    """One frame's classification, shared by every receiver of a flood.
+
+    A switch flood builds one view per flooded frame and delivers it
+    with the bytes to each receiving interface.  The first receiver that
+    accepts the frame decodes its L3 packet (for ICMPv6 also the
+    message); the rest reuse them, so a frame flooded to a hundred hosts
+    is classified once, not a hundred times.  The view lives only as
+    long as its flood's engine events and nothing else holds it, so it
+    adds no cache to the process.  A frame that arrives on its own gets
+    a private view, and both paths run the same code.
+    """
+
+    __slots__ = ("raw", "_l3", "_message")
+
+    def __init__(self, raw: bytes) -> None:
+        self.raw = raw
+        self._l3: Any = _UNDECODED
+        self._message: Any = _UNDECODED
+
+    def l3(self, decode: Callable[[bytes], Any]) -> Any:
+        """``decode`` of the frame's payload, or ``None`` if it is malformed.
+
+        A frame has one ethertype, so every receiver passes the same
+        decoder and the first call's result serves them all.
+        """
+        packet = self._l3
+        if packet is _UNDECODED:
+            try:
+                packet = decode(self.raw[14:])
+            except ValueError:
+                packet = None
+            self._l3 = packet
+        return packet
+
+    def icmpv6(self, packet: LazyIPv6Packet) -> Any:
+        """The decoded ICMPv6 message of ``packet`` (this frame's IPv6
+        packet), or ``None`` if it is malformed."""
+        message = self._message
+        if message is _UNDECODED:
+            try:
+                message = decode_icmpv6(packet.payload, packet.src, packet.dst)
+            except ValueError:
+                message = None
+            self._message = message
+        return message
 
 
 class L2Interface:
@@ -126,6 +179,7 @@ class L2Interface:
         # Every L2Interface owner's on_frame is a pure per-port dispatch
         # to handle_frame, so deliveries can skip the trampoline.
         port.sink = self.handle_frame
+        port.view_sink = self.handle_frame
         #: Unicast data-plane counters (broadcast/multicast excluded), the
         #: evidence base for the client census in :mod:`repro.core.metrics`.
         self.tx_ipv4_unicast = 0
@@ -160,27 +214,32 @@ class L2Interface:
         # The multicast I/G bit also covers broadcast (all-ones MAC).
         return dst == self._mac_bytes or bool(dst[0] & 1)
 
-    def handle_frame(self, raw: bytes) -> None:
+    def handle_frame(self, raw: bytes, view: Optional[FrameView] = None) -> None:
+        """Receive one frame; ``view`` is its flood's shared view, if any.
+
+        Only per-receiver work happens here: the accept filter, neighbor
+        learning and the hand-off to NDP, SLAAC or the owner.  Decoding
+        goes through the view, so flooded frames are decoded once.
+        """
         # Accept filter straight off the wire — the multicast I/G bit
         # (which also covers broadcast) or our own MAC — then dispatch on
-        # the ethertype bytes.  The whole receive path works from the raw
-        # frame: no frame object is ever built (the L3 decode caches key
-        # by payload value, and the source MAC is only materialized when
-        # a neighbor entry is actually learned).
+        # the ethertype bytes.  No frame object is ever built, and the
+        # source MAC is only materialized when a neighbor is learned.
         if len(raw) < 14 or not (raw[0] & 1 or raw.startswith(self._mac_bytes)):
             return
+        if view is None:
+            view = FrameView(raw)
         ethertype = (raw[12] << 8) | raw[13]
         if ethertype == _ETHERTYPE_IPV4:
-            self._handle_ipv4(raw)
+            self._handle_ipv4(view)
         elif ethertype == _ETHERTYPE_IPV6:
-            self._handle_ipv6(raw)
+            self._handle_ipv6(view)
         elif ethertype == _ETHERTYPE_ARP:
-            self._handle_arp(raw)
+            self._handle_arp(view)
 
-    def _handle_arp(self, raw: bytes) -> None:
-        try:
-            arp = ArpPacket.decode(raw[14:])
-        except ValueError:
+    def _handle_arp(self, view: FrameView) -> None:
+        arp = view.l3(ArpPacket.decode)
+        if arp is None:
             return
         if arp.sender_ip != UNSPECIFIED_V4:
             self._learn_v4(arp.sender_ip, arp.sender_mac)
@@ -191,34 +250,34 @@ class L2Interface:
             reply = arp.reply_from(self.mac)
             self._send_frame(arp.sender_mac, EtherType.ARP, reply.encode())
 
-    def _handle_ipv4(self, raw: bytes) -> None:
-        try:
-            packet = decode_ipv4_cached(raw[14:])
-        except ValueError:
+    def _handle_ipv4(self, view: FrameView) -> None:
+        packet = view.l3(decode_ipv4_cached)
+        if packet is None:
             return
+        raw = view.raw
         if packet.src != UNSPECIFIED_V4 and not raw[6] & 1:
             self._learn_v4(packet.src, _mac_from_wire(raw[6:12]))
         if self.on_ipv4 is not None:
             self.on_ipv4(packet)
 
-    def _handle_ipv6(self, raw: bytes) -> None:
-        try:
-            packet = decode_ipv6_cached(raw[14:])
-        except ValueError:
+    def _handle_ipv6(self, view: FrameView) -> None:
+        packet = view.l3(decode_ipv6_cached)
+        if packet is None:
             return
-        if packet.next_header == _IPPROTO_ICMPV6 and self._handle_ndp(raw, packet):
+        src = packet.src
+        if packet.next_header == _IPPROTO_ICMPV6 and self._handle_ndp(
+            view.icmpv6(packet), src
+        ):
             return
-        if packet.src != UNSPECIFIED_V6:
-            self._learn_v6(packet.src, _mac_from_wire(raw[6:12]))
+        if src != UNSPECIFIED_V6:
+            self._learn_v6(src, _mac_from_wire(view.raw[6:12]))
         if self.on_ipv6 is not None:
             self.on_ipv6(packet)
 
-    def _handle_ndp(self, raw: bytes, packet: LazyIPv6Packet) -> bool:
-        """Returns True when the message was NDP and fully consumed."""
-        src = packet.src
-        try:
-            message = decode_icmpv6(packet.payload, src, packet.dst)
-        except ValueError:
+    def _handle_ndp(self, message: Any, src: IPv6Address) -> bool:
+        """Returns True when the message was NDP and fully consumed (a
+        malformed message, ``None``, is consumed and dropped)."""
+        if message is None:
             return True
         # Exact-type dispatch, ordered by observed frequency (periodic
         # RAs dominate the NDP stream): decode_icmpv6 constructs the

@@ -3,12 +3,15 @@
 A :class:`Node` owns named :class:`Port` objects; a port transmits
 frames onto its link and hands received frames to the node's
 ``on_frame(port, bytes)``.  Ports can mirror traffic into a
-:class:`~repro.sim.trace.PacketTrace`.
+:class:`~repro.sim.trace.PacketTrace`.  A switch flood goes through
+:func:`repro.sim.link.flood`, which does the bookkeeping of
+:meth:`Port.transmit` inline for every egress port and delivers with
+:meth:`Port.receive`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.sim.engine import EventEngine
 from repro.sim.link import Link
@@ -25,7 +28,12 @@ class Port:
         self.name = name
         self._link: Optional[Link] = None
         self.trace: Optional[PacketTrace] = None
+        #: Frames sent out of this port.  Counted also when the link is
+        #: down or unplugged: the frame leaves the port and is lost on
+        #: the wire, so a flood credits every egress port but the
+        #: ingress one, live or not.
         self.tx_frames = 0
+        #: Frames delivered to this port by its link.
         self.rx_frames = 0
         #: Fast delivery path: when the owning node's ``on_frame`` would
         #: only dispatch on the port to a fixed per-port handler (every
@@ -39,6 +47,13 @@ class Port:
         #: a fresh bound method per access, defeating the link's ``is``
         #: check when it upgrades a pending delivery into a batch).
         self.deliver_cb: Callable[[bytes], None] = self.deliver
+        #: Flood delivery, called as ``view_sink(frame, view)`` where
+        #: ``view`` is the classification every receiver of the flood
+        #: shares, or ``None`` for a frame that joined a flood delivery
+        #: without one.  :class:`~repro.sim.iface.L2Interface` installs
+        #: its ``handle_frame``; by default the view is dropped and the
+        #: frame goes wherever :meth:`deliver` would send it.
+        self.view_sink: Callable[[bytes, Any], None] = self._hand_off
 
     @property
     def connected(self) -> bool:
@@ -60,6 +75,19 @@ class Port:
             self.sink(frame)
         else:
             self.node.on_frame(self, frame)
+
+    def _hand_off(self, frame: bytes, view: Any) -> None:
+        if self.sink is not None:
+            self.sink(frame)
+        else:
+            self.node.on_frame(self, frame)
+
+    def receive(self, frame: bytes, view: Any) -> None:
+        """Deliver one frame of a flood event, with its shared view."""
+        self.rx_frames += 1
+        if self.trace is not None:
+            self.trace.record(self.node.name, self.name, "rx", frame)
+        self.view_sink(frame, view)
 
     def deliver_batch(self, frames) -> None:
         """Deliver a same-tick batch in transmit order (one link drain).

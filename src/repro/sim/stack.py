@@ -745,33 +745,30 @@ class HostStack(Node):
         )
         if not local:
             return
-        # UDP dominates this path (DNS + DHCP); inline its demux branch
-        # and fall through to the full demux for everything else.
         if packet.proto == _IPPROTO_UDP:
-            src = packet.src
-            try:
-                datagram = UdpDatagram.decode(packet.payload, src, dst)
-            except ValueError:
-                return
-            try:
-                sock = self._udp_sockets[datagram.dst_port]
-            except KeyError:
-                return
-            sock._deliver(src, datagram.src_port, datagram.payload)
+            self._demux_udp(packet.payload, packet.src, dst)
             return
         self._demux_ipv4(packet)
 
+    def _demux_udp(self, payload: bytes, src: AnyAddress, dst: AnyAddress) -> None:
+        # The destination port is read off the wire before the datagram
+        # is decoded: a datagram for a port nobody has bound is dropped
+        # either way, and that is what every host but one does with a
+        # flooded DHCP broadcast.
+        if len(payload) < UdpDatagram.HEADER_LEN:
+            return
+        sock = self._udp_sockets.get((payload[2] << 8) | payload[3])
+        if sock is None:
+            return
+        try:
+            datagram = UdpDatagram.decode(payload, src, dst)
+        except ValueError:
+            return
+        sock._deliver(src, datagram.src_port, datagram.payload)
+
     def _demux_ipv4(self, packet: IPv4Packet) -> None:
         if packet.proto == _IPPROTO_UDP:
-            try:
-                datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-            except ValueError:
-                return
-            try:
-                sock = self._udp_sockets[datagram.dst_port]
-            except KeyError:
-                return
-            sock._deliver(packet.src, datagram.src_port, datagram.payload)
+            self._demux_udp(packet.payload, packet.src, packet.dst)
             return
         if packet.proto == _IPPROTO_TCP:
             self._handle_tcp(packet.src, packet.dst, packet.payload)
@@ -817,15 +814,7 @@ class HostStack(Node):
             self._demux_ipv4(translated)
             return
         if packet.next_header == _IPPROTO_UDP:
-            try:
-                datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-            except ValueError:
-                return
-            try:
-                sock = self._udp_sockets[datagram.dst_port]
-            except KeyError:
-                return
-            sock._deliver(packet.src, datagram.src_port, datagram.payload)
+            self._demux_udp(packet.payload, packet.src, packet.dst)
             return
         if packet.next_header == _IPPROTO_TCP:
             self._handle_tcp(packet.src, packet.dst, packet.payload)

@@ -19,6 +19,8 @@ from repro.net.lazy import LazyEthernetFrame
 # Plain int for the raw-bytes ethertype test on the forwarding path.
 _ETHERTYPE_IPV6 = int(EtherType.IPV6)
 from repro.sim.engine import EventEngine
+from repro.sim.iface import FrameView
+from repro.sim.link import flood
 from repro.sim.node import Node, Port
 
 __all__ = ["ManagedSwitch"]
@@ -93,9 +95,12 @@ class ManagedSwitch(Node):
                 return
         # Flood: broadcast, multicast and unknown unicast.
         self.flooded += 1
-        for out in self.ports.values():
-            if out is not port:
-                out.transmit(frame_bytes)
+        self._flood(frame_bytes, port)
+
+    def _flood(self, frame_bytes: bytes, ingress: Optional[Port]) -> None:
+        """Send a frame out of every port but ``ingress``, as one flood:
+        one engine event per egress latency, one shared frame view."""
+        flood(self.engine, self.ports.values(), frame_bytes, ingress, FrameView(frame_bytes))
 
     # -- the RA workaround ----------------------------------------------------
 
@@ -136,9 +141,7 @@ class ManagedSwitch(Node):
             ethertype=EtherType.IPV6,
             payload=packet.encode(),
         )
-        raw = frame.encode()
-        for port in self.ports.values():
-            port.transmit(raw)
+        self._flood(frame.encode(), None)
 
     @staticmethod
     def _is_router_solicitation_raw(frame_bytes: bytes) -> bool:

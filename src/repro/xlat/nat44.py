@@ -18,7 +18,7 @@ from repro.net.icmp import IcmpMessage
 from repro.net.ipv4 import IPProto, IPv4Packet
 from repro.net.tcp import TcpSegment
 from repro.net.udp import UdpDatagram
-from repro.xlat.siit import TranslationError
+from repro.xlat.siit import drops_malformed, TranslationError
 
 __all__ = ["Nat44Session", "StatefulNat44"]
 
@@ -57,6 +57,7 @@ class StatefulNat44:
         self.translated_in = 0
         self.dropped = 0
 
+    @drops_malformed
     def translate_out(self, packet: IPv4Packet) -> IPv4Packet:
         """Rewrite an outbound packet's source to the public address."""
         proto, inside_port, transport = self._flow_key(packet, outbound=True)
@@ -65,6 +66,7 @@ class StatefulNat44:
         self.translated_out += 1
         return self._rewrite(packet, session, outbound=True, transport=transport)
 
+    @drops_malformed
     def translate_in(self, packet: IPv4Packet) -> IPv4Packet:
         """Rewrite a returning packet back to the inside host."""
         proto, outside_port, transport = self._flow_key(packet, outbound=False)

@@ -37,7 +37,12 @@ from repro.net.ipv4 import IPProto, IPv4Packet
 from repro.net.ipv6 import IPv6Packet
 from repro.net.tcp import TcpFlags, TcpSegment
 from repro.net.udp import UdpDatagram
-from repro.xlat.siit import translate_v4_to_v6, translate_v6_to_v4, TranslationError
+from repro.xlat.siit import (
+    drops_malformed,
+    translate_v4_to_v6,
+    translate_v6_to_v4,
+    TranslationError,
+)
 
 __all__ = ["Nat64Config", "Nat64Session", "StatefulNAT64"]
 
@@ -95,6 +100,7 @@ class StatefulNAT64:
     def covers(self, destination: IPv6Address) -> bool:
         return destination in self.config.prefix
 
+    @drops_malformed
     def translate_out(self, packet: IPv6Packet) -> IPv4Packet:
         """Translate an IPv6 packet heading into the translation prefix.
 
@@ -153,6 +159,7 @@ class StatefulNAT64:
         self.translated_out += 1
         return translated
 
+    @drops_malformed
     def translate_in(self, packet: IPv4Packet) -> IPv6Packet:
         """Translate a returning IPv4 packet back to the IPv6 client.
 

@@ -11,11 +11,15 @@ pseudo-header, which changes family:
 - IPv6 → IPv4: the reverse, with ICMPv6 → ICMP mapping.
 
 Unsupported constructs (fragments, extension headers, unmappable ICMP
-types) raise :class:`TranslationError`, which the translators count and
-drop — the same observable behaviour as a real middlebox.
+types) and transport headers that do not decode raise
+:class:`TranslationError`, which the translators count and drop — the
+same observable behaviour as a real middlebox.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Any, Callable, TypeVar
 
 from repro.net.addresses import IPv4Address, IPv6Address
 from repro.net.icmp import IcmpMessage, IcmpType
@@ -25,11 +29,30 @@ from repro.net.ipv6 import IPv6Packet
 from repro.net.tcp import TcpSegment
 from repro.net.udp import UdpDatagram
 
-__all__ = ["TranslationError", "translate_v4_to_v6", "translate_v6_to_v4"]
+__all__ = ["TranslationError", "drops_malformed", "translate_v4_to_v6", "translate_v6_to_v4"]
+
+_Translate = TypeVar("_Translate", bound=Callable[..., Any])
 
 
 class TranslationError(Exception):
     """The packet cannot be translated (RFC 7915 'silently drop' cases)."""
+
+
+def drops_malformed(translate: _Translate) -> _Translate:
+    """Make a stateful translator's ``translate_*(packet)`` method drop
+    a packet whose transport header does not decode like any other
+    untranslatable packet: count it in ``self.dropped`` and raise
+    :class:`TranslationError` instead of the decoder's ``ValueError``."""
+
+    @functools.wraps(translate)
+    def guarded(self: Any, packet: Any) -> Any:
+        try:
+            return translate(self, packet)
+        except ValueError as exc:
+            self.dropped += 1
+            raise TranslationError(f"malformed packet: {exc}") from exc
+
+    return guarded  # type: ignore[return-value]
 
 
 def translate_v4_to_v6(
@@ -43,20 +66,23 @@ def translate_v4_to_v6(
     for SIIT/CLAT, session lookup for NAT64); this function handles the
     header algorithm and transport checksum reconstruction.
     """
-    if packet.proto == IPProto.UDP:
-        datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-        payload = datagram.encode(new_src, new_dst)
-        next_header = IPProto.UDP
-    elif packet.proto == IPProto.TCP:
-        segment = TcpSegment.decode(packet.payload, packet.src, packet.dst)
-        payload = segment.encode(new_src, new_dst)
-        next_header = IPProto.TCP
-    elif packet.proto == IPProto.ICMP:
-        icmp = IcmpMessage.decode(packet.payload)
-        payload = encode_icmpv6(_icmp4_to_icmp6(icmp), new_src, new_dst)
-        next_header = IPProto.ICMPV6
-    else:
-        raise TranslationError(f"untranslatable IPv4 protocol {packet.proto}")
+    try:
+        if packet.proto == IPProto.UDP:
+            datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
+            payload = datagram.encode(new_src, new_dst)
+            next_header = IPProto.UDP
+        elif packet.proto == IPProto.TCP:
+            segment = TcpSegment.decode(packet.payload, packet.src, packet.dst)
+            payload = segment.encode(new_src, new_dst)
+            next_header = IPProto.TCP
+        elif packet.proto == IPProto.ICMP:
+            icmp = IcmpMessage.decode(packet.payload)
+            payload = encode_icmpv6(_icmp4_to_icmp6(icmp), new_src, new_dst)
+            next_header = IPProto.ICMPV6
+        else:
+            raise TranslationError(f"untranslatable IPv4 protocol {packet.proto}")
+    except ValueError as exc:
+        raise TranslationError(f"malformed IPv4 payload: {exc}") from exc
     return IPv6Packet(
         src=new_src,
         dst=new_dst,
@@ -73,22 +99,25 @@ def translate_v6_to_v4(
     new_dst: IPv4Address,
 ) -> IPv4Packet:
     """Translate one IPv6 packet to IPv4 (RFC 7915 §5)."""
-    if packet.next_header == IPProto.UDP:
-        datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-        payload = datagram.encode(new_src, new_dst)
-        proto = IPProto.UDP
-    elif packet.next_header == IPProto.TCP:
-        segment = TcpSegment.decode(packet.payload, packet.src, packet.dst)
-        payload = segment.encode(new_src, new_dst)
-        proto = IPProto.TCP
-    elif packet.next_header == IPProto.ICMPV6:
-        icmp6 = decode_icmpv6(packet.payload, packet.src, packet.dst)
-        if not isinstance(icmp6, Icmpv6Message):
-            raise TranslationError("NDP messages are single-link; not translated")
-        payload = _icmp6_to_icmp4(icmp6).encode()
-        proto = IPProto.ICMP
-    else:
-        raise TranslationError(f"untranslatable IPv6 next header {packet.next_header}")
+    try:
+        if packet.next_header == IPProto.UDP:
+            datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
+            payload = datagram.encode(new_src, new_dst)
+            proto = IPProto.UDP
+        elif packet.next_header == IPProto.TCP:
+            segment = TcpSegment.decode(packet.payload, packet.src, packet.dst)
+            payload = segment.encode(new_src, new_dst)
+            proto = IPProto.TCP
+        elif packet.next_header == IPProto.ICMPV6:
+            icmp6 = decode_icmpv6(packet.payload, packet.src, packet.dst)
+            if not isinstance(icmp6, Icmpv6Message):
+                raise TranslationError("NDP messages are single-link; not translated")
+            payload = _icmp6_to_icmp4(icmp6).encode()
+            proto = IPProto.ICMP
+        else:
+            raise TranslationError(f"untranslatable IPv6 next header {packet.next_header}")
+    except ValueError as exc:
+        raise TranslationError(f"malformed IPv6 payload: {exc}") from exc
     return IPv4Packet(
         src=new_src,
         dst=new_dst,

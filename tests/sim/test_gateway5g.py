@@ -3,6 +3,9 @@
 import pytest
 
 from repro.net.addresses import embed_ipv4_in_nat64, IPv4Address, IPv6Address
+from repro.net.ethernet import EthernetFrame, EtherType
+from repro.net.ipv4 import IPProto, IPv4Packet
+from repro.net.ipv6 import IPv6Packet
 from repro.sim.gateway5g import MobileGateway5G
 from repro.sim.host import Host, ServerHost
 from repro.sim.node import connect
@@ -130,3 +133,59 @@ class TestForwarding:
         web.udp_serve(53, lambda payload, src, sport: b"resp")
         target = embed_ipv4_in_nat64(IPv4Address("190.92.158.4"))
         assert client.udp_exchange(target, 53, b"q") == b"resp"
+
+
+# A TCP header cut short, and a full one whose data offset (2 words)
+# is below the 5-word minimum: both make TcpSegment.decode raise.
+TRUNCATED_TCP = bytes(10)
+BAD_OFFSET_TCP = bytes(12) + b"\x20" + bytes(7)
+
+
+def _frame(src_mac, dst_mac, packet):
+    ethertype = EtherType.IPV4 if isinstance(packet, IPv4Packet) else EtherType.IPV6
+    return EthernetFrame(dst_mac, src_mac, ethertype, packet.encode()).encode()
+
+
+class TestMalformedTransport:
+    """Transport headers that do not decode are counted translator drops
+    on both sides of the gateway; they never escape ``run_until``."""
+
+    @pytest.mark.parametrize("payload", [TRUNCATED_TCP, BAD_OFFSET_TCP])
+    def test_lan_side_nat64_and_nat44(self, world, payload):
+        engine, gateway, client, web = world
+        v6 = IPv6Packet(
+            src=client.iface.link_local,
+            dst=embed_ipv4_in_nat64(IPv4Address("190.92.158.4")),
+            next_header=IPProto.TCP,
+            payload=payload,
+        )
+        v4 = IPv4Packet(
+            src=IPv4Address("192.168.12.77"),
+            dst=IPv4Address("190.92.158.4"),
+            proto=IPProto.TCP,
+            payload=payload,
+        )
+        lan_mac = gateway.lan_iface.mac
+        client.port("eth0").transmit(_frame(client.mac, lan_mac, v6))
+        client.port("eth0").transmit(_frame(client.mac, lan_mac, v4))
+        engine.run_until(deadline=engine.now + 0.5)
+        assert gateway.nat64.dropped == 1
+        assert gateway.nat44.dropped == 1
+        assert gateway.nat64.translated_out == gateway.nat44.translated_out == 0
+
+    @pytest.mark.parametrize("payload", [TRUNCATED_TCP, BAD_OFFSET_TCP])
+    def test_wan_side_nat64_and_nat44(self, world, payload):
+        engine, gateway, client, web = world
+        wan_mac = gateway.wan_iface.mac
+        for public in (gateway.config.wan_ipv4_nat64, gateway.config.wan_ipv4_nat44):
+            packet = IPv4Packet(
+                src=IPv4Address("190.92.158.4"),
+                dst=public,
+                proto=IPProto.TCP,
+                payload=payload,
+            )
+            web.port("eth0").transmit(_frame(web.mac, wan_mac, packet))
+        engine.run_until(deadline=engine.now + 0.5)
+        assert gateway.nat64.dropped == 1
+        assert gateway.nat44.dropped == 1
+        assert gateway.nat64.translated_in == gateway.nat44.translated_in == 0

@@ -104,3 +104,18 @@ class TestV6ToV4:
         packet6 = IPv6Packet(V6_SRC, V6_DST, 43, b"routing-header")
         with pytest.raises(TranslationError):
             translate_v6_to_v4(packet6, V4_SRC, V4_DST)
+
+
+class TestMalformedTransport:
+    # A TCP header cut short and one with a 2-word data offset: the
+    # decoder's ValueError surfaces as a translation drop.
+    @pytest.mark.parametrize("payload", [bytes(10), bytes(12) + b"\x20" + bytes(7)])
+    def test_undecodable_tcp_raises_translation_error(self, payload):
+        with pytest.raises(TranslationError, match="malformed"):
+            translate_v4_to_v6(IPv4Packet(V4_SRC, V4_DST, IPProto.TCP, payload), V6_SRC, V6_DST)
+        with pytest.raises(TranslationError, match="malformed"):
+            translate_v6_to_v4(IPv6Packet(V6_SRC, V6_DST, IPProto.TCP, payload), V4_SRC, V4_DST)
+
+    def test_short_udp_raises_translation_error(self):
+        with pytest.raises(TranslationError, match="malformed"):
+            translate_v6_to_v4(IPv6Packet(V6_SRC, V6_DST, IPProto.UDP, b"\x00\x35"), V4_SRC, V4_DST)
