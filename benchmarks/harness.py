@@ -642,11 +642,11 @@ def _emit_gha(
             fh.write(table + "\n")
 
 
-def _lint_flow_timings() -> Dict[str, object]:
-    """Cold vs warm wall time of the whole-tree dataflow analyzer.
+def _lint_program_timings() -> Dict[str, object]:
+    """Cold vs warm wall time of the whole-tree ``--program`` analyzer.
 
     Never gated — recorded so BENCH artifacts track the analyzer's
-    incremental-cache promise (warm ``--flow`` under the CI budget)
+    incremental-cache promise (warm ``--program`` under the CI budget)
     alongside the runtime numbers.
     """
     import tempfile
@@ -658,10 +658,10 @@ def _lint_flow_timings() -> Dict[str, object]:
     with tempfile.TemporaryDirectory() as tmp:
         cache_path = Path(tmp) / "lint-cache.json"
         started = time.perf_counter()
-        cold = lint_paths_run([src], flow=True, cache=LintCache(cache_path))
+        cold = lint_paths_run([src], program=True, cache=LintCache(cache_path))
         cold_s = time.perf_counter() - started
         started = time.perf_counter()
-        lint_paths_run([src], flow=True, cache=LintCache(cache_path))
+        lint_paths_run([src], program=True, cache=LintCache(cache_path))
         warm_s = time.perf_counter() - started
     return {
         "files": cold.files,
@@ -749,7 +749,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "quick": args.quick,
         "rounds": rounds,
         "jobs": jobs,
-        "lint_flow": _lint_flow_timings(),
+        "lint_program": _lint_program_timings(),
         "scenarios": current,
         "improvement_vs_seed": improvement_vs_seed(current, seed_baseline),
         "seed_baseline": (seed_baseline or {}).get("scenarios"),

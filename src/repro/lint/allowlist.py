@@ -21,12 +21,6 @@ __all__ = ["ALLOWLIST", "allowed_codes_for", "match_paths"]
 
 #: path glob (anchored at ``repro/``) -> codes permitted there.
 ALLOWLIST: Dict[str, Tuple[str, ...]] = {
-    # The executor reads the host wall clock for per-shard statistics
-    # (ShardStats.wall_s).  Wall time never feeds simulation state or
-    # result tables — the determinism smoke in CI diffs serial vs
-    # parallel output precisely to prove that — so the timing ban does
-    # not apply to this file.
-    "repro/parallel/executor.py": ("RL101",),
     # RL401 (shard-safety race detector) flags the bounded decode/encode
     # memo caches below because they are module-level dicts mutated on
     # worker-reachable paths.  They are deliberate per-process caches:

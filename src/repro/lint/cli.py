@@ -72,17 +72,12 @@ _FAMILIES = {
     "RL3": "RL3xx — hot-path hygiene",
     "RL4": "RL4xx — shard safety (whole-program)",
     "RL5": "RL5xx — compile readiness (whole-program)",
-    "RL6": "RL6xx — determinism taint (dataflow)",
-    "RL7": "RL7xx — exception flow (dataflow)",
+    "RL7": "RL7xx — exception flow (whole-program)",
 }
 
 
 def _rule_kind(rule) -> str:
-    if rule.flow:
-        return "flow"
-    if rule.program:
-        return "program"
-    return "file"
+    return "program" if rule.program else "file"
 
 
 def _list_rules(fmt: str) -> int:
@@ -142,13 +137,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--program",
         action="store_true",
-        help="run the whole-program RL4xx/RL5xx rules (call graph + reachability)",
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help="run the dataflow RL6xx/RL7xx rules (taint + exception flow; "
-        "implies --program)",
+        help="run the whole-program RL4xx/RL5xx/RL7xx rules "
+        "(call graph + reachability)",
     )
     parser.add_argument(
         "--format",
@@ -206,13 +196,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache = LintCache(args.cache)
 
     started = time.perf_counter()
-    run = lint_paths_run(
-        paths,
-        select=select,
-        program=args.program,
-        flow=args.flow,
-        cache=cache,
-    )
+    run = lint_paths_run(paths, select=select, program=args.program, cache=cache)
     elapsed = time.perf_counter() - started
     findings = run.findings
 

@@ -4,7 +4,7 @@ The linter is a plain ``ast`` walker — no third-party dependencies —
 organised around small rule plugins (see :mod:`repro.lint.rules`).
 Each rule owns one error code, a scope (the dotted module prefixes it
 applies to) and either a per-file ``check(ctx)`` or — for the
-interprocedural RL4xx/RL5xx families — a ``check_program(program,
+interprocedural RL4xx/RL5xx/RL7xx families — a ``check_program(program,
 report)`` that runs once over the whole-tree call graph built by
 :mod:`repro.lint.program`.  Suppression happens in exactly two places:
 
@@ -158,12 +158,8 @@ class Rule:
     summary: str = ""
     #: Dotted module prefixes this rule fires in; () applies everywhere.
     scope: Tuple[str, ...] = ()
-    #: True for whole-program (RL4xx/RL5xx) rules.
+    #: True for whole-program (RL4xx/RL5xx/RL7xx) rules.
     program: bool = False
-    #: True for dataflow (RL6xx/RL7xx) rules — they need the composed
-    #: :class:`repro.lint.flow.interp.FlowProgram` and run only under
-    #: ``--flow`` (which implies ``--program``).
-    flow: bool = False
 
     def applies_to(self, ctx: LintContext) -> bool:
         return not self.scope or ctx.in_module(self.scope)
@@ -172,9 +168,6 @@ class Rule:
         raise NotImplementedError
 
     def check_program(self, program, report) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def check_flow(self, flow_program, report) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -442,21 +435,16 @@ def lint_paths(
     select: Optional[Set[str]] = None,
     *,
     program: bool = False,
-    flow: bool = False,
     cache=None,
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``; deterministic order.
 
-    ``program=True`` additionally runs the whole-program RL4xx/RL5xx
-    rules over the assembled call graph; ``flow=True`` (which implies
-    ``program``) also runs the dataflow RL6xx/RL7xx rules over the
-    composed taint summaries.  ``cache`` is an optional
-    :class:`repro.lint.program.cache.LintCache`; unchanged files are
-    neither re-parsed nor re-checked.
+    ``program=True`` additionally runs the whole-program RL4xx/RL5xx/
+    RL7xx rules over the assembled call graph.  ``cache`` is an
+    optional :class:`repro.lint.program.cache.LintCache`; unchanged
+    files are neither re-parsed nor re-checked.
     """
-    return lint_paths_run(
-        paths, select, program=program, flow=flow, cache=cache
-    ).findings
+    return lint_paths_run(paths, select, program=program, cache=cache).findings
 
 
 def lint_paths_run(
@@ -464,7 +452,6 @@ def lint_paths_run(
     select: Optional[Set[str]] = None,
     *,
     program: bool = False,
-    flow: bool = False,
     cache=None,
 ) -> LintRun:
     """Like :func:`lint_paths` but returns the full :class:`LintRun`."""
@@ -472,18 +459,11 @@ def lint_paths_run(
     from repro.lint.program.summary import extract_summary
 
     rules = all_rules()
-    if select is not None:
-        # A selected interprocedural/dataflow rule silently implies the
-        # matching analysis depth.
-        if not flow:
-            flow = any(r.flow for r in rules if r.code in select)
-        if not program:
-            program = any(r.program for r in rules if r.code in select)
-    if flow:
-        program = True
+    if select is not None and not program:
+        # A selected interprocedural rule silently implies --program.
+        program = any(r.program for r in rules if r.code in select)
     file_rules = [r for r in rules if not r.program]
-    program_rules = [r for r in rules if r.program and not r.flow]
-    flow_rules = [r for r in rules if r.flow]
+    program_rules = [r for r in rules if r.program]
 
     run = LintRun()
     files = iter_python_files(paths)
@@ -491,7 +471,6 @@ def lint_paths_run(
 
     findings: List[Finding] = []
     summaries: Dict[str, Any] = {}
-    flows: Dict[str, Any] = {}
     pragma_maps: Dict[str, Dict[int, Set[str]]] = {}
     used_pragmas: Dict[str, Set[Tuple[int, str]]] = {}
     used_allowlist: Dict[str, Set[str]] = {}
@@ -500,11 +479,7 @@ def lint_paths_run(
         data = path.read_bytes()
         file_hash = content_hash(data) if cache is not None else ""
         entry = cache.get(path, file_hash) if cache is not None else None
-        if (
-            entry is not None
-            and (not program or entry.get("summary") is not None)
-            and (not flow or entry.get("flow") is not None)
-        ):
+        if entry is not None and (not program or entry.get("summary") is not None):
             findings.extend(Finding.from_json(f) for f in entry["findings"])
             pragma_maps[str(path)] = {
                 int(k): set(v) for k, v in entry["pragmas"].items()
@@ -518,11 +493,6 @@ def lint_paths_run(
 
                 summary = ModuleSummary.from_json(entry["summary"])
                 summaries[summary.module] = summary
-            if flow and entry.get("flow") is not None:
-                from repro.lint.flow.model import ModuleFlow
-
-                flow_mod = ModuleFlow.from_json(entry["flow"])
-                flows[flow_mod.module] = flow_mod
             continue
 
         source = data.decode("utf-8")
@@ -551,17 +521,6 @@ def lint_paths_run(
             )
             if program:
                 summaries[summary.module] = summary
-        flow_mod = None
-        if flow or cache is not None:
-            # Flow summaries ride in every cache entry so a plain
-            # --program run still leaves the cache warm for --flow.
-            from repro.lint.flow.solver import extract_flow
-
-            flow_mod = extract_flow(
-                ctx.module, tree, statement_starts=ctx.statement_starts
-            )
-            if flow:
-                flows[flow_mod.module] = flow_mod
         if cache is not None:
             cache.put(
                 path,
@@ -574,7 +533,6 @@ def lint_paths_run(
                     ),
                     "used_allowlist": sorted(ctx.used_allowlist),
                     "summary": summary.to_json() if summary is not None else None,
-                    "flow": flow_mod.to_json() if flow_mod is not None else None,
                 },
             )
 
@@ -587,13 +545,6 @@ def lint_paths_run(
         reporter = ProgramReporter(allowed_codes_for)
         for rule in program_rules:
             rule.check_program(context, reporter)
-        if flow and flows:
-            from repro.lint.flow.interp import build_flow_program
-
-            flow_program = build_flow_program(context, flows)
-            for rule in flow_rules:
-                rule.check_flow(flow_program, reporter)
-            checked_codes.update(r.code for r in flow_rules)
         findings.extend(reporter.findings)  # type: ignore[arg-type]
         for path_str, used in reporter.used_pragmas.items():
             used_pragmas.setdefault(path_str, set()).update(used)

@@ -7,9 +7,10 @@ ModuleSummary` (cached by content hash); summaries assemble into a
 :class:`~repro.lint.program.callgraph.CallGraph`; the
 :class:`~repro.lint.program.analyzer.ProgramContext` on top knows which
 functions are reachable from shard-worker entry points and from the
-timing-wheel dispatch loop.  The RL4xx/RL5xx rule families consume that
-context (see :mod:`repro.lint.rules.shard_safety` and
-:mod:`repro.lint.rules.compile_ready`).
+timing-wheel dispatch loop.  The RL4xx/RL5xx/RL7xx rule families
+consume that context (see :mod:`repro.lint.rules.shard_safety`,
+:mod:`repro.lint.rules.compile_ready` and
+:mod:`repro.lint.rules.exception_flow`).
 """
 
 from __future__ import annotations

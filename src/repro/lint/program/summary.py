@@ -119,6 +119,14 @@ class FunctionSummary:
     #: Attribute assignments on imported modules / class objects:
     #: ``{"base", "attr", "lineno", "col", "stmt_line"}``.
     monkeypatches: List[Dict[str, Any]] = field(default_factory=list)
+    #: Broad ``except`` handlers (bare/``Exception``/``BaseException``):
+    #: ``{"what", "handled", "lineno", "col", "stmt_line"}`` — ``handled``
+    #: when the handler re-raises, references the bound exception, or
+    #: formats the traceback (RL701).
+    handlers: List[Dict[str, Any]] = field(default_factory=list)
+    #: ``return``/``break``/``continue`` exiting a ``finally`` block:
+    #: ``{"kind", "lineno", "col", "stmt_line"}`` (RL702).
+    finally_jumps: List[Dict[str, Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -313,6 +321,67 @@ def _annotation_source(node: Optional[ast.expr]) -> str:
         return ""
 
 
+def _handler_kind(handler: ast.ExceptHandler) -> Optional[str]:
+    """"bare"/"Exception"/"BaseException" for broad handlers, else None."""
+    if handler.type is None:
+        return "bare"
+    candidates = (
+        handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    )
+    for candidate in candidates:
+        tail = (_dotted(candidate) or "").rsplit(".", 1)[-1]
+        if tail in ("Exception", "BaseException"):
+            return tail
+    return None
+
+
+def _handler_records_failure(handler: ast.ExceptHandler) -> bool:
+    """True when the handler re-raises or demonstrably keeps the error:
+    it references the bound exception name, or formats the traceback.
+    Swallowing means none of those — the failure becomes silence."""
+    for node in _walk_own_scope(handler):
+        if isinstance(node, ast.Raise):
+            return True
+        if (
+            handler.name
+            and isinstance(node, ast.Name)
+            and node.id == handler.name
+            and isinstance(node.ctx, ast.Load)
+        ):
+            return True
+        if isinstance(node, ast.Call):
+            if (_dotted(node.func) or "").split(".", 1)[0] == "traceback":
+                return True
+    return False
+
+
+def _finally_jumps(finalbody: Sequence[ast.stmt]) -> List[ast.stmt]:
+    """Jump statements that exit a ``finally`` block, discarding any
+    in-flight exception.  ``break``/``continue`` targeting a loop fully
+    inside the block are local and exempt."""
+    out: List[ast.stmt] = []
+
+    def walk(stmts: Sequence[ast.stmt], loop_depth: int) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, ast.Return) or (
+                isinstance(stmt, (ast.Break, ast.Continue)) and loop_depth == 0
+            ):
+                out.append(stmt)
+            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+                walk(stmt.body, loop_depth + 1)
+                walk(stmt.orelse, loop_depth)
+            elif not isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                for name in ("body", "orelse", "finalbody"):
+                    walk(getattr(stmt, name, []), loop_depth)
+                for handler in getattr(stmt, "handlers", []):
+                    walk(handler.body, loop_depth)
+
+    walk(finalbody, 0)
+    return out
+
+
 def _expr_mentions_seed(node: ast.expr) -> bool:
     text = ast.unparse(node)
     return "seed" in text.lower()
@@ -471,6 +540,7 @@ class _Extractor:
             param_anns=param_anns,
             globals_declared=globals_declared,
         )
+        self._scan_exceptions(node, fs)
         self.summary.functions[qual] = fs
         for inner in _walk_own_scope(node):
             if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -482,6 +552,18 @@ class _Extractor:
                     nested=True,
                     enclosing_bound=bound | enclosing_bound,
                 )
+
+    def _scan_exceptions(self, node: ast.AST, fs: FunctionSummary) -> None:
+        for inner in _walk_own_scope(node):
+            if isinstance(inner, ast.ExceptHandler):
+                what = _handler_kind(inner)
+                if what is not None:
+                    handled = _handler_records_failure(inner)
+                    fs.handlers.append(self._site(inner, {"what": what, "handled": handled}))
+            elif isinstance(inner, ast.Try) or type(inner).__name__ == "TryStar":
+                for jump in _finally_jumps(getattr(inner, "finalbody", [])):
+                    kind = type(jump).__name__.lower()
+                    fs.finally_jumps.append(self._site(jump, {"kind": kind}))
 
     def _site(self, node: ast.AST, extra: Dict[str, Any]) -> Dict[str, Any]:
         lineno = getattr(node, "lineno", 1)

@@ -11,8 +11,7 @@ from __future__ import annotations
 from repro.lint.rules import (
     compile_ready,
     determinism,
-    flow_determinism,
-    flow_exceptions,
+    exception_flow,
     hygiene,
     shard_safety,
     suppression,
@@ -22,8 +21,7 @@ from repro.lint.rules import (
 __all__ = [
     "compile_ready",
     "determinism",
-    "flow_determinism",
-    "flow_exceptions",
+    "exception_flow",
     "hygiene",
     "shard_safety",
     "suppression",

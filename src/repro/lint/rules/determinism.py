@@ -4,8 +4,10 @@ The simulation's headline guarantee is bit-for-bit reproducibility:
 identical seeds produce identical packet traces and result tables at
 any ``--jobs`` and any ``PYTHONHASHSEED``.  These rules ban the inputs
 that historically break that class of guarantee — wall clocks, ambient
-entropy, and hash-order-dependent iteration — from every package whose
-output feeds a trace or a table.
+entropy, object identity, and hash-order-dependent iteration — from
+every package whose output feeds a trace or a table.  They flag the
+*source* wherever its value would go, so no dataflow analysis is
+needed to follow the value to a sink.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import ast
 from typing import Set, Tuple
 
 from repro.lint.core import LintContext, register_rule, Rule
-from repro.lint.rules._util import dotted_name, import_aliases, resolve_call_target
+from repro.lint.rules._util import import_aliases, resolve_call_target
 
 __all__ = [
     "DETERMINISTIC_PACKAGES",
@@ -248,53 +250,46 @@ class UnorderedSetIteration(Rule):
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
-                and node.func.id in ("list", "tuple", "enumerate")
+                and node.func.id in ("list", "tuple", "enumerate", "iter")
                 and node.args
                 and is_set_typed(node.args[0])
             ):
                 flag(node, f"{node.func.id}() over a set")
 
 
-def _uses_id(node: ast.expr) -> bool:
-    if isinstance(node, ast.Name) and node.id == "id":
-        return True
-    if isinstance(node, ast.Lambda):
-        return any(
-            isinstance(inner, ast.Call)
-            and isinstance(inner.func, ast.Name)
-            and inner.func.id == "id"
-            for inner in ast.walk(node.body)
-        )
-    return False
-
-
 @register_rule
 class IdBasedOrdering(Rule):
+    """Any use of the builtin ``id``, not only ``key=id`` sorts.
+
+    An object's identity is its memory address: it differs between
+    runs, workers and hash salts.  Wherever the value goes — a sort
+    key, a trace tag, a wire field, a seed, a fold — the output stops
+    being a function of the seed, and the sink may sit several calls
+    away.  Banning the source catches every such path at once (the
+    same shape as RL105 for ``hash()``).  A reference counts as much
+    as a call: ``key=id`` and ``map(id, ...)`` call it later.
+    """
+
     code = "RL104"
     name = "id-based-ordering"
-    summary = "sort keyed on object identity (memory address)"
+    summary = "any id() call or reference (object identity is a memory address)"
     scope = DETERMINISTIC_PACKAGES
 
     def check(self, ctx: LintContext) -> None:
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            is_ordering_call = dotted in ("sorted", "min", "max") or (
-                isinstance(node.func, ast.Attribute) and node.func.attr == "sort"
-            )
-            if not is_ordering_call:
-                continue
-            for keyword in node.keywords:
-                if keyword.arg == "key" and _uses_id(keyword.value):
-                    ctx.add(
-                        node,
-                        self.code,
-                        "ordering keyed on id() — memory addresses differ "
-                        "between runs and workers",
-                        "sort on a stable field of the object (name, sequence "
-                        "number, wire bytes), never its identity",
-                    )
+            if (
+                isinstance(node, ast.Name)
+                and node.id == "id"
+                and isinstance(node.ctx, ast.Load)
+            ):
+                ctx.add(
+                    node,
+                    self.code,
+                    "id() in deterministic code — memory addresses differ "
+                    "between runs and workers",
+                    "key, tag or seed on a stable field of the object (name, "
+                    "sequence number, wire bytes), never its identity",
+                )
 
 
 #: The modules allowed to touch :mod:`heapq` directly — the timing-wheel

@@ -4,8 +4,10 @@ A shard worker that swallows an exception does not fail — it returns a
 *wrong table*, and the fold happily merges it.  The event-dispatch
 path is just as exposed: a callback that silences errors leaves the
 timing wheel consistent but the simulated world half-updated.  These
-rules combine the per-function exception digests collected by the
-dataflow solver with the whole-program reachability cones:
+rules check the per-function exception records of each module summary
+(:mod:`repro.lint.program.summary` — handler kinds and ``finally``
+jumps are purely syntactic) against the whole-program reachability
+cones:
 
 - RL701 — a broad/bare ``except`` inside the fork-pool worker cone or
   the event-dispatch path that neither re-raises nor demonstrably
@@ -21,17 +23,11 @@ dataflow solver with the whole-program reachability cones:
 from __future__ import annotations
 
 from repro.lint.core import LintContext, register_rule, Rule
-from repro.lint.flow.interp import FlowProgram
-from repro.lint.program.analyzer import ProgramReporter
+from repro.lint.program.analyzer import ProgramContext, ProgramReporter
+from repro.lint.program.callgraph import func_id
 from repro.lint.rules.determinism import DETERMINISTIC_PACKAGES
 
 __all__ = ["SwallowedWorkerException", "FinallyMasksFlow"]
-
-
-def _in_deterministic(module: str) -> bool:
-    return any(
-        module == p or module.startswith(p + ".") for p in DETERMINISTIC_PACKAGES
-    )
 
 
 @register_rule
@@ -40,14 +36,13 @@ class SwallowedWorkerException(Rule):
     name = "swallowed-worker-exception"
     summary = "broad except swallows failures in the worker or dispatch cone"
     program = True
-    flow = True
 
     def check(self, ctx: LintContext) -> None:
         return None
 
-    def check_flow(self, flow_program: FlowProgram, report: ProgramReporter) -> None:
-        program = flow_program.program
-        for fid, ms, flow in flow_program.iter_functions():
+    def check_program(self, program: ProgramContext, report: ProgramReporter) -> None:
+        for ms, fs in program.index.iter_functions():
+            fid = func_id(ms.module, fs.qualname)
             in_worker = fid in program.worker_reachable
             in_dispatch = fid in program.dispatch_reachable
             if not (in_worker or in_dispatch):
@@ -62,7 +57,7 @@ class SwallowedWorkerException(Rule):
                 if in_worker
                 else "the event loop keeps dispatching over half-updated state"
             )
-            for handler in flow.handlers:
+            for handler in fs.handlers:
                 if handler["handled"]:
                     continue
                 what = (
@@ -74,7 +69,7 @@ class SwallowedWorkerException(Rule):
                     ms,
                     handler,
                     self.code,
-                    f"`{flow.qualname}` is reachable from {cone} and {what} "
+                    f"`{fs.qualname}` is reachable from {cone} and {what} "
                     f"swallows the exception — {consequence}",
                     "catch the narrowest exception that is actually expected, "
                     "or re-raise / record the failure (keep the exception "
@@ -88,21 +83,20 @@ class FinallyMasksFlow(Rule):
     name = "finally-masks-flow"
     summary = "return/break/continue inside finally discards in-flight exceptions"
     program = True
-    flow = True
 
     def check(self, ctx: LintContext) -> None:
         return None
 
-    def check_flow(self, flow_program: FlowProgram, report: ProgramReporter) -> None:
-        for fid, ms, flow in flow_program.iter_functions():
-            if not _in_deterministic(ms.module):
+    def check_program(self, program: ProgramContext, report: ProgramReporter) -> None:
+        for ms, fs in program.index.iter_functions():
+            if not ms.in_package(DETERMINISTIC_PACKAGES):
                 continue
-            for jump in flow.finally_jumps:
+            for jump in fs.finally_jumps:
                 report.add(
                     ms,
                     jump,
                     self.code,
-                    f"`{flow.qualname}` has `{jump['kind']}` inside a "
+                    f"`{fs.qualname}` has `{jump['kind']}` inside a "
                     "`finally` block — it silently replaces any in-flight "
                     "exception, so scheduler/shard failures vanish mid-cleanup",
                     "keep finally blocks straight-line cleanup; move the "

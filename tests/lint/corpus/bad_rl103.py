@@ -4,3 +4,7 @@
 
 def emit_rows(pending: set) -> list:
     return [f"row {name}" for name in pending]
+
+
+def first_pending(pending: set) -> str:
+    return next(iter(pending))

@@ -1,5 +1,5 @@
-# repro-lint-module: repro.net.fix602
-"""RL602 positive: an object-identity ident is serialized into packet
+# repro-lint-module: repro.net.fix104wire
+"""RL104 positive: an object-identity ident is serialized into packet
 bytes through a helper — the wire encoding differs run to run."""
 import struct
 

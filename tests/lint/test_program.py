@@ -2,8 +2,9 @@
 
 Fixture modules are built in-memory through :func:`extract_summary` so
 each test states its tree in a few lines; the CLI-facing behaviours
-(``--format``, ``--max-seconds``, warm-cache runs) go through real
-subprocesses like CI does.
+(``--format``, ``--max-seconds``) go through real subprocesses like CI
+does; the whole-tree warm-cache run lives with the self-application
+tests, which share one analyzed tree.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.lint.program import (
     extract_summary,
     func_id,
     LintCache,
+    ModuleSummary,
     ProgramIndex,
 )
 
@@ -119,7 +121,114 @@ def test_worker_entry_discovery_and_cone():
     assert func_id("repro.sweeps.m", "helper") not in program.worker_entries
 
 
+# -- exception records (RL7xx raw material) -----------------------------------
+
+
+def test_exception_digest_classifies_handlers():
+    swallowed = summarize(
+        "m",
+        "def f(x):\n"
+        "    try:\n"
+        "        return g(x)\n"
+        "    except Exception:\n"
+        "        pass\n",
+    )
+    assert swallowed.functions["f"].handlers == [
+        {"lineno": 4, "col": 4, "stmt_line": 4, "what": "Exception", "handled": False}
+    ]
+    handled = summarize(
+        "m",
+        "def f(x):\n"
+        "    try:\n"
+        "        return g(x)\n"
+        "    except Exception as exc:\n"
+        "        return repr(exc)\n",
+    )
+    assert handled.functions["f"].handlers[0]["handled"] is True
+    narrow = summarize(
+        "m",
+        "def f(x):\n"
+        "    try:\n"
+        "        return g(x)\n"
+        "    except ValueError:\n"
+        "        pass\n",
+    )
+    assert narrow.functions["f"].handlers == []
+
+
+def test_finally_jump_local_loop_exempt():
+    local = summarize(
+        "m",
+        "def f(q):\n"
+        "    try:\n"
+        "        g(q)\n"
+        "    finally:\n"
+        "        while q:\n"
+        "            if not q.pop():\n"
+        "                break\n",
+    )
+    assert local.functions["f"].finally_jumps == []
+    bad = summarize(
+        "m",
+        "def f(q):\n"
+        "    try:\n"
+        "        g(q)\n"
+        "    finally:\n"
+        "        return 0\n",
+    )
+    assert [j["kind"] for j in bad.functions["f"].finally_jumps] == ["return"]
+
+
+def test_summary_json_round_trip():
+    summary = summarize(
+        "m",
+        "def f(trace, x):\n"
+        "    try:\n"
+        "        trace.record(x)\n"
+        "    except Exception:\n"
+        "        pass\n"
+        "    finally:\n"
+        "        return x\n",
+    )
+    restored = ModuleSummary.from_json(json.loads(json.dumps(summary.to_json())))
+    assert restored.to_json() == summary.to_json()
+    assert restored.functions["f"].handlers and restored.functions["f"].finally_jumps
+
+
 # -- incremental cache --------------------------------------------------------
+
+
+def test_exception_records_cached_and_invalidated(tmp_path):
+    """RL702 comes back from a warm cache unchanged and goes away when
+    the edit removes the jump."""
+    target = tmp_path / "mod.py"
+    target.write_text(
+        "# repro-lint-module: repro.sim.cachefix\n"
+        "def drain(engine):\n"
+        "    try:\n"
+        "        engine.step()\n"
+        "    finally:\n"
+        "        return 0\n"
+    )
+    cache_path = tmp_path / "cache.json"
+    cold = lint_paths_run([target], program=True, cache=LintCache(cache_path))
+    assert cold.parsed == 1
+    assert [f.code for f in cold.findings] == ["RL702"]
+    warm = lint_paths_run([target], program=True, cache=LintCache(cache_path))
+    assert warm.parsed == 0, "unchanged file must come from the cache"
+    assert warm.findings == cold.findings
+    target.write_text(
+        "# repro-lint-module: repro.sim.cachefix\n"
+        "def drain(engine):\n"
+        "    try:\n"
+        "        engine.step()\n"
+        "    finally:\n"
+        "        engine.reset()\n"
+    )
+    edited = lint_paths_run([target], program=True, cache=LintCache(cache_path))
+    assert edited.parsed == 1
+    assert edited.findings == []
+
 
 
 def test_cache_warm_run_skips_parsing_and_reproduces_findings(tmp_path):
@@ -223,13 +332,3 @@ def test_cli_max_seconds_gate(tmp_path):
     assert result.returncode == 3
     result = _run_cli("--no-cache", "--max-seconds", "600", str(clean))
     assert result.returncode == 0
-
-
-def test_cli_cache_round_trip(tmp_path):
-    """Second CLI run over src parses nothing and stays clean."""
-    cache_path = tmp_path / "cache.json"
-    cold = _run_cli("src", "--program", "--cache", str(cache_path))
-    assert cold.returncode == 0, cold.stdout
-    warm = _run_cli("src", "--program", "--cache", str(cache_path))
-    assert warm.returncode == 0, warm.stdout
-    assert ", 0 parsed" in warm.stdout

@@ -1,10 +1,10 @@
 """Per-rule fixture tests: every code has a minimal positive and
 negative snippet in ``tests/lint/corpus`` (one pair per shipped rule).
 
-Fixtures are linted through :func:`lint_paths` with ``flow=True`` so
-the whole-program RL4xx/RL5xx rules, the dataflow RL6xx/RL7xx rules,
-and the RL001 stale-suppression check all see the same pipeline the
-CLI runs under ``--flow``.
+Fixtures are linted through :func:`lint_paths` with ``program=True``
+so the whole-program RL4xx/RL5xx/RL7xx rules and the RL001
+stale-suppression check all see the same pipeline the CLI runs under
+``--program``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ ALL_CODES = sorted(rule.code for rule in all_rules())
 
 
 def codes_in(path: Path) -> set:
-    return {finding.code for finding in lint_paths([path], flow=True)}
+    return {finding.code for finding in lint_paths([path], program=True)}
 
 
 def test_corpus_covers_every_rule():
@@ -46,10 +46,19 @@ def test_negative_fixture_clean(code):
 def test_rule_codes_follow_families():
     """Codes stay within the documented families: RL0xx meta, RL1xx
     determinism, RL2xx wire, RL3xx hygiene, RL4xx shard-safety, RL5xx
-    compile-readiness, RL6xx determinism-taint, RL7xx exception-flow."""
+    compile-readiness, RL7xx exception-flow."""
     for code in ALL_CODES:
         assert code.startswith("RL") and len(code) == 5, code
-        assert code[2] in "01234567", f"unknown family for {code}"
+        assert code[2] in "0123457", f"unknown family for {code}"
+
+
+@pytest.mark.parametrize("name", ["bad_rl104_trace", "bad_rl104_wire", "bad_rl104_seed"])
+def test_interprocedural_id_fixtures_caught_at_source(name):
+    """An id() value that crosses helpers before reaching a trace, the
+    wire or an RNG seed is flagged where it is made; no dataflow needed."""
+    findings = lint_paths([CORPUS / f"{name}.py"], program=True)
+    assert [(f.code, f.line) for f in findings] == [("RL104", 8)]
+
 
 
 def test_findings_report_location_and_hint():

@@ -1,6 +1,10 @@
 """The linter applied to its own repository: the committed tree must be
 clean (whole-program rules included), and the CLI must fail loudly on
 the deliberately-broken corpus.
+
+The whole-tree checks share one analyzed tree: a single cold
+``--program`` CLI run fills a cache that the warm CLI rerun and the
+in-process run then read back.
 """
 
 from __future__ import annotations
@@ -9,22 +13,27 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
+
+import pytest
 
 from repro.lint import all_rules, lint_paths
+from repro.lint.program.cache import LintCache
 
 REPO_ROOT = Path(__file__).parents[2]
 CORPUS = Path(__file__).parent / "corpus"
 
 
-def _run_cli(*args: str) -> subprocess.CompletedProcess:
+def _run_cli(*args: str, cache: Optional[Path] = None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    # Tests must not leave a cache file in the checkout.
+    cache_args = ["--cache", str(cache)] if cache is not None else ["--no-cache"]
     return subprocess.run(
-        # --no-cache: tests must not leave a cache file in the checkout.
-        [sys.executable, "-m", "repro.lint", "--no-cache", *args],
+        [sys.executable, "-m", "repro.lint", *cache_args, *args],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,
@@ -33,19 +42,37 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_src_tree_lints_clean_via_cli():
-    result = _run_cli("src", "--flow")
-    assert result.returncode == 0, f"tree not clean:\n{result.stdout}"
-    assert "repro.lint: clean" in result.stdout
+@pytest.fixture(scope="module")
+def analyzed_tree(tmp_path_factory):
+    """One cold whole-program CLI run over ``src``: (cache path, result)."""
+    cache = tmp_path_factory.mktemp("lint") / "cache.json"
+    return cache, _run_cli("src", "--program", cache=cache)
 
 
-def test_src_tree_lints_clean_in_process():
-    assert lint_paths([REPO_ROOT / "src"], flow=True) == []
+def test_src_tree_lints_clean_via_cli(analyzed_tree):
+    _cache, cold = analyzed_tree
+    assert cold.returncode == 0, f"tree not clean:\n{cold.stdout}"
+    assert "repro.lint: clean" in cold.stdout
+
+
+def test_cli_cache_round_trip(analyzed_tree):
+    """The warm CLI rerun over src parses nothing and stays clean."""
+    cache, _cold = analyzed_tree
+    warm = _run_cli("src", "--program", cache=cache)
+    assert warm.returncode == 0, warm.stdout
+    assert ", 0 parsed" in warm.stdout
+
+
+def test_src_tree_lints_clean_in_process(analyzed_tree, monkeypatch):
+    cache, _cold = analyzed_tree
+    # The cache is keyed by the CLI's relative paths.
+    monkeypatch.chdir(REPO_ROOT)
+    assert lint_paths([Path("src")], program=True, cache=LintCache(cache)) == []
 
 
 def test_broken_corpus_fails_with_every_code():
     bad_files = sorted(str(p) for p in CORPUS.glob("bad_*.py"))
-    result = _run_cli("--flow", *bad_files)
+    result = _run_cli("--program", *bad_files)
     assert result.returncode == 1
     for rule in all_rules():
         assert rule.code in result.stdout, f"{rule.code} missing from CLI output"
@@ -72,9 +99,10 @@ def test_cli_list_rules():
     for rule in all_rules():
         assert rule.code in result.stdout
     # Grouped by family, in order.
-    for header in ("RL1xx", "RL4xx", "RL6xx", "RL7xx"):
+    for header in ("RL1xx", "RL4xx", "RL7xx"):
         assert header in result.stdout
-    assert result.stdout.index("RL6xx") < result.stdout.index("RL7xx")
+    assert "RL6xx" not in result.stdout
+    assert result.stdout.index("RL4xx") < result.stdout.index("RL7xx")
 
 
 def test_cli_list_rules_json():
@@ -86,14 +114,21 @@ def test_cli_list_rules_json():
     codes = [entry["code"] for entry in inventory["rules"]]
     assert codes == sorted(rule.code for rule in all_rules())
     by_code = {entry["code"]: entry for entry in inventory["rules"]}
-    assert by_code["RL601"]["kind"] == "flow"
     assert by_code["RL401"]["kind"] == "program"
+    assert by_code["RL701"]["kind"] == "program"
+    assert by_code["RL702"]["kind"] == "program"
     assert by_code["RL101"]["kind"] == "file"
-    assert by_code["RL601"]["family"].startswith("RL6xx")
+    assert by_code["RL701"]["family"].startswith("RL7xx")
 
 
 def test_cli_missing_path_is_usage_error():
     result = _run_cli("does/not/exist.py")
+    assert result.returncode == 2
+
+
+def test_cli_flow_option_is_usage_error():
+    """The dataflow engine and its ``--flow`` switch are gone."""
+    result = _run_cli("--flow", str(CORPUS / "bad_rl101.py"))
     assert result.returncode == 2
 
 

@@ -70,8 +70,8 @@ def test_module_name_derivation():
 
 
 def test_allowlist_matches_anchored_suffix():
-    codes = allowed_codes_for(Path("/anywhere/checkout/src/repro/parallel/executor.py"))
-    assert "RL101" in codes
+    codes = allowed_codes_for(Path("/anywhere/checkout/src/repro/net/arp.py"))
+    assert "RL401" in codes
     assert allowed_codes_for(Path("src/repro/sim/engine.py")) == set()
 
 
@@ -83,8 +83,12 @@ def test_allowlist_entries_documented():
 
 
 def test_executor_wall_timing_is_allowlisted_not_rewritten():
-    """The real executor keeps perf_counter for shard stats — covered by
-    the allowlist, so the tree lints clean without touching the timing."""
+    """The real executor keeps perf_counter for shard stats.  Each read
+    carries its own inline pragma — there is no whole-file allowlist
+    entry — so the tree lints clean without touching the timing."""
     executor = Path(__file__).parents[2] / "src" / "repro" / "parallel" / "executor.py"
-    assert "perf_counter" in executor.read_text()
+    reads = [line for line in executor.read_text().splitlines() if "perf_counter()" in line]
+    assert len(reads) == 4
+    assert all("# repro: allow[RL101]" in line for line in reads)
+    assert not allowed_codes_for(executor)
     assert not [f for f in lint_file(executor) if f.code == "RL101"]

@@ -4,11 +4,15 @@ Servers face the network; the simulator's hosts face whatever a buggy
 peer emits.  Every handler must drop garbage, never raise.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clients.profiles import ALL_PROFILES
 from repro.core.intervention import InterventionConfig, PoisonedDNSServer
 from repro.core.rpz import RpzConfig, RPZPolicyServer
+from repro.core.testbed import build_testbed, TestbedConfig
 from repro.dhcp.server import DhcpPool, DhcpServer
 from repro.dns.zone import Zone
 from repro.net.addresses import IPv4Address, IPv4Network, IPv6Address
@@ -132,3 +136,50 @@ def test_tcp_listener_survives_mid_stream_garbage(valid_prefix, payload):
     # The server is still able to accept a fresh connection.
     conn2 = client.tcp_connect(IPv4Address("10.0.0.1"), 80)
     assert conn2 is not None
+
+
+def test_testbed_survives_mutated_captured_frames():
+    """Frame-mutation fuzz over real traffic.  A full testbed (one client
+    per OS profile) captures every frame its nodes send and receive.
+    Each frame is truncated, or has 1-4 bytes flipped past the Ethernet
+    header, and sent again over the link it was captured on, toward the
+    port that received it.  No exception may escape the event loop.
+
+    Received frames matter as much as sent ones: the internet-side hosts
+    are not captured, so the gateway's WAN input (the NAT64/NAT44
+    ``translate_in`` path) is reachable only through its rx entries."""
+    testbed = build_testbed(TestbedConfig(seed=7, capture_traffic=True))
+    for index, profile in enumerate(ALL_PROFILES):
+        testbed.add_client(profile, f"fuzz-{index}").fetch("sc24.supercomputing.org")
+    infra = (
+        testbed.gateway,
+        testbed.switch,
+        testbed.pi_healthy,
+        testbed.pi_poison,
+        testbed.pi_dhcp,
+    )
+    nodes = {node.name: node for node in infra}
+    nodes.update((client.host.name, client.host) for client in testbed.clients)
+
+    def sender(entry):
+        port = nodes[entry.node].port(entry.port)
+        if entry.direction == "tx":
+            return port
+        link = port._link
+        return link._a if link._b is port else link._b
+
+    captured = [(sender(entry), entry.frame) for entry in testbed.trace.entries]
+    assert len(captured) > 1000
+    rng = random.Random(2024)
+    engine = testbed.engine
+    for _ in range(4000):
+        port, frame = rng.choice(captured)
+        if len(frame) > 14 and rng.random() < 0.5:
+            mutated = bytearray(frame)
+            for _ in range(rng.randint(1, 4)):
+                mutated[rng.randrange(14, len(mutated))] ^= rng.randrange(1, 256)
+            frame = bytes(mutated)
+        else:
+            frame = frame[: rng.randrange(len(frame))]
+        port._link.transmit(port, frame)
+        engine.run_until(deadline=engine.now + 0.05)
