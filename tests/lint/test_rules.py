@@ -60,6 +60,32 @@ def test_interprocedural_id_fixtures_caught_at_source(name):
     assert [(f.code, f.line) for f in findings] == [("RL104", 8)]
 
 
+def test_interprocedural_fixture_caught_by_syntactic_rules():
+    """The source (bare id()) and the trace sink sit in different
+    functions, yet the per-file determinism rules alone flag it: no
+    whole-program pass is needed."""
+    path = CORPUS / "bad_rl104_trace.py"
+    syntactic = {
+        f.code
+        for f in lint_paths([path], select={"RL101", "RL102", "RL103", "RL104", "RL105"})
+    }
+    assert syntactic == {"RL104"}
+
+
+def test_id_into_trace_and_wire_flagged_at_source(tmp_path):
+    """id() headed for a trace record and for packed wire bytes is
+    flagged at each load, whatever the sink."""
+    target = tmp_path / "mod.py"
+    target.write_text(
+        "# repro-lint-module: repro.sim.sinkfix\n"
+        "import struct\n"
+        "def f(trace, pkt):\n"
+        "    trace.record('n', 'p', 'tx', id(pkt))\n"
+        "    return struct.pack('!H', id(pkt))\n"
+    )
+    findings = lint_paths([target])
+    assert [(f.code, f.line) for f in findings] == [("RL104", 4), ("RL104", 5)]
+
 
 def test_findings_report_location_and_hint():
     findings = [
