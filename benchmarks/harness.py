@@ -693,7 +693,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for sharded scenarios (default: $REPRO_JOBS or 1; 0 = all cores)",
+        help="worker processes for sharded scenarios (default: 1; 0 = all cores)",
     )
     parser.add_argument(
         "--format",

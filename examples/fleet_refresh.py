@@ -24,7 +24,7 @@ def main(argv=None) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the sweep (default: $REPRO_JOBS or 1; 0 = all cores)",
+        help="worker processes for the sweep (default: 1; 0 = all cores)",
     )
     args = parser.parse_args([] if argv is None else argv)
 

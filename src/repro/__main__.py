@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    jobs_help = "worker processes for the sweep (default: $REPRO_JOBS or 1; 0 = all cores)"
+    jobs_help = "worker processes for the sweep (default: 1; 0 = all cores)"
 
     p_matrix = sub.add_parser("matrix", help="device outcome matrix (§V)")
     p_matrix.add_argument("--no-intervention", action="store_true")

@@ -13,11 +13,11 @@ share.  The output is the adoption trajectory the paper's conclusion
 argues for.
 
 Each stage brings up its own testbed and shares no events with the
-others, so the sweep shards one-mix-per-shard over
-:class:`repro.parallel.SweepExecutor`: pass ``jobs=N`` (or set
-``REPRO_JOBS``) to fan stages out across worker processes.  Shard
-seeds follow :func:`repro.parallel.derive_seed`, so the merged table
-is byte-identical at any ``jobs``.
+others, so the sweep maps one shard per mix over
+:class:`repro.parallel.SweepExecutor`: pass ``jobs=N`` to fan stages
+out across worker processes.  Shard seeds follow
+:func:`repro.parallel.derive_seed`, so the merged table is
+byte-identical at any ``jobs``.
 """
 
 from __future__ import annotations
@@ -193,11 +193,7 @@ def _run_sweep(
     executor: Optional[SweepExecutor],
 ) -> Tuple[List[AdoptionPoint], SweepStats]:
     config = config or TestbedConfig()
-    specs = make_shards(
-        [(mix, config) for mix in mixes],
-        base_seed=config.seed,
-        costs=[float(mix.total) for mix in mixes],
-    )
+    specs = make_shards([(mix, config) for mix in mixes], base_seed=config.seed)
     with owned_executor(executor, jobs=jobs) as ex:
         points = ex.map(worker, specs, label="adoption sweep")
         return points, ex.last_stats

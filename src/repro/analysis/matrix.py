@@ -9,13 +9,12 @@ Run with the intervention on and off to see exactly which devices the
 poisoned DNS touches — the paper's central claim is that the set is
 "IPv4-only clients, and nothing else".
 
-With ``jobs>1`` the profile list is split into contiguous chunks, one
-fresh testbed per chunk, executed across a
-:class:`repro.parallel.SweepExecutor` worker pool.  Profiles never
-influence each other's outcomes (each client only talks to the
-infrastructure), so the merged table is byte-identical to the
-single-testbed serial run — and ``jobs=1`` keeps the original one
-testbed for the whole matrix.
+With ``jobs>1`` the profile list is split into ``jobs`` contiguous
+chunks, one fresh testbed and one shard per chunk, mapped over a
+:class:`repro.parallel.SweepExecutor`.  Profiles never influence each
+other's outcomes (each client only talks to the infrastructure), so
+the merged table is byte-identical to the single-testbed serial run —
+and ``jobs=1`` keeps the original one testbed for the whole matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro._compat import slotted_dataclass
 from repro.clients.profiles import ALL_PROFILES, OsProfile
-from repro.core.metrics import SweepStats
 from repro.core.testbed import Testbed, TestbedConfig
 from repro.parallel import make_shards, owned_executor, ShardPayload, ShardSpec, SweepExecutor
 from repro.services.captive import connectivity_probe, ProbeOutcome
@@ -33,7 +31,6 @@ from repro.services.captive import connectivity_probe, ProbeOutcome
 __all__ = [
     "DeviceOutcome",
     "run_device_matrix",
-    "run_device_matrix_stats",
     "run_device_matrix_table",
     "matrix_table",
 ]
@@ -84,11 +81,10 @@ def _measure_one(
 def _measure_profiles(spec: ShardSpec) -> ShardPayload:
     """Worker: a fresh testbed, one client per profile in the chunk.
 
-    This is the *object* worker — it retains every ``DeviceOutcome``
-    because its callers (report rendering, tests) consume the structured
-    rows.  The accumulation is bounded by the profile catalogue (a few
-    dozen rows), never by fleet size; fleet-bounded aggregation goes
-    through :func:`_measure_profile_rows` or :mod:`repro.analysis.fleet`.
+    It retains every ``DeviceOutcome`` because its callers (report
+    rendering, tests) consume the structured rows.  The accumulation is
+    bounded by the profile catalogue (a few dozen rows), never by fleet
+    size; fleet-scale aggregation goes through :mod:`repro.analysis.fleet`.
     """
     config, profiles, start_index, target_site = spec.payload
     testbed = Testbed(replace(config, seed=spec.seed))
@@ -98,26 +94,6 @@ def _measure_profiles(spec: ShardSpec) -> ShardPayload:
         outcomes.append(outcome)  # repro: allow[RL303]
     return ShardPayload(
         outcomes,
-        events=testbed.engine.events_run,
-        sim_seconds=testbed.engine.now,
-        queries=len(testbed.dns64.query_log) + len(testbed.poisoner.query_log),
-    )
-
-
-def _measure_profile_rows(spec: ShardSpec) -> ShardPayload:
-    """Worker: the streaming variant — each outcome is formatted into its
-    table row and immediately dropped, so the shard retains one device's
-    state at a time plus the output text it is anyway going to return.
-    Byte-identical to ``matrix_table`` over :func:`_measure_profiles`
-    because both format through :meth:`DeviceOutcome.row`."""
-    config, profiles, start_index, target_site = spec.payload
-    testbed = Testbed(replace(config, seed=spec.seed))
-    text = "\n".join(
-        _measure_one(testbed, start_index + offset, profile, target_site).row()
-        for offset, profile in enumerate(profiles)
-    )
-    return ShardPayload(
-        text,
         events=testbed.engine.events_run,
         sim_seconds=testbed.engine.now,
         queries=len(testbed.dns64.query_log) + len(testbed.poisoner.query_log),
@@ -140,32 +116,31 @@ def _chunk_profiles(
     return chunks
 
 
-def run_device_matrix_stats(
+def run_device_matrix(
     config: Optional[TestbedConfig] = None,
     profiles: Sequence[OsProfile] = ALL_PROFILES,
     target_site: str = "sc24.supercomputing.org",
     jobs: Optional[int] = None,
     executor: Optional[SweepExecutor] = None,
-) -> Tuple[List[DeviceOutcome], SweepStats]:
-    """The device matrix plus its sweep-execution statistics.
+) -> List[DeviceOutcome]:
+    """One client per profile, full outcome row each (optionally sharded).
 
     ``jobs=1`` keeps the original shape — one testbed, one client per
     profile; ``jobs=N`` runs ``N`` chunk-testbeds concurrently and
-    concatenates their rows in profile order.
+    concatenates their rows in profile order.  The executor's
+    ``last_stats`` holds the sweep statistics afterwards.
     """
     config = config or TestbedConfig()
     profiles = list(profiles)
     with owned_executor(executor, jobs=jobs) as ex:
         chunks = _chunk_profiles(profiles, ex.jobs)
         specs = make_shards(
-            [(config, chunk, start, target_site) for chunk, start in chunks],
-            base_seed=config.seed,
-            costs=[float(len(chunk)) for chunk, _start in chunks],
+            [(config, chunk, start, target_site) for chunk, start in chunks], base_seed=config.seed
         )
         merged: List[DeviceOutcome] = []
         for rows in ex.map(_measure_profiles, specs, label="device matrix"):
             merged.extend(rows)
-        return merged, ex.last_stats
+        return merged
 
 
 def run_device_matrix_table(
@@ -175,38 +150,8 @@ def run_device_matrix_table(
     jobs: Optional[int] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> str:
-    """The rendered matrix table via the streaming worker.
-
-    Produces exactly ``matrix_table(run_device_matrix(...))`` (pinned by
-    tests/analysis) while retaining no outcome rows anywhere — chunks
-    return pre-formatted text and the parent concatenates in profile
-    order.
-    """
-    config = config or TestbedConfig()
-    profiles = list(profiles)
-    with owned_executor(executor, jobs=jobs) as ex:
-        chunks = _chunk_profiles(profiles, ex.jobs)
-        specs = make_shards(
-            [(config, chunk, start, target_site) for chunk, start in chunks],
-            base_seed=config.seed,
-            costs=[float(len(chunk)) for chunk, _start in chunks],
-        )
-        texts = ex.map(_measure_profile_rows, specs, label="device matrix")
-    return "\n".join(text for text in texts if text)
-
-
-def run_device_matrix(
-    config: Optional[TestbedConfig] = None,
-    profiles: Sequence[OsProfile] = ALL_PROFILES,
-    target_site: str = "sc24.supercomputing.org",
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-) -> List[DeviceOutcome]:
-    """One client per profile, full outcome row each (optionally sharded)."""
-    outcomes, _stats = run_device_matrix_stats(
-        config, profiles, target_site, jobs=jobs, executor=executor
-    )
-    return outcomes
+    """The rendered matrix table: ``matrix_table(run_device_matrix(...))``."""
+    return matrix_table(run_device_matrix(config, profiles, target_site, jobs, executor))
 
 
 def matrix_table(outcomes: Sequence[DeviceOutcome]) -> str:

@@ -308,18 +308,13 @@ class ShardStats:
     attempts: int = 1
     error: Optional[str] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
 
 @slotted_dataclass()
 class SweepStats:
-    """Merged statistics for one sweep: shard rows plus pool-level view.
+    """Merged statistics for one sweep: shard rows plus totals.
 
     ``wall_s`` is the parent-observed elapsed time for the whole sweep;
-    the shards' summed wall clock divided by it is the *effective
-    parallelism* the pool achieved (≈1.0 serial, →``jobs`` ideally).
+    ``shard_wall_s`` sums the worker-measured shard times.
     """
 
     jobs: int
@@ -342,31 +337,3 @@ class SweepStats:
     @property
     def total_queries(self) -> int:
         return sum(s.queries for s in self.shards)
-
-    @property
-    def failures(self) -> List[ShardStats]:
-        return [s for s in self.shards if s.error is not None]
-
-    @property
-    def speedup(self) -> float:
-        """Effective parallelism: shard CPU-seconds per elapsed second."""
-        return self.shard_wall_s / self.wall_s if self.wall_s > 0 else 0.0
-
-    def table(self) -> str:
-        lines = [
-            f"{'shard':>5s} {'seed':>20s} {'wall s':>8s} {'events':>9s} "
-            f"{'queries':>8s} {'tries':>5s} status"
-        ]
-        for s in self.shards:
-            status = "ok" if s.ok else f"FAILED: {s.error.strip().splitlines()[-1]}"
-            lines.append(
-                f"{s.index:>5d} {s.seed:>20d} {s.wall_s:>8.3f} {s.events:>9d} "
-                f"{s.queries:>8d} {s.attempts:>5d} {status}"
-            )
-        lines.append(
-            f"jobs={self.jobs} backend={self.backend} "
-            f"wall={self.wall_s:.3f}s shard-wall={self.shard_wall_s:.3f}s "
-            f"speedup={self.speedup:.2f}x "
-            f"failures={len(self.failures)}"
-        )
-        return "\n".join(lines)

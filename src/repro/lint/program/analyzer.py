@@ -2,12 +2,12 @@
 and the reporter program rules emit through.
 
 Worker entry points are discovered, not declared: every call site
-``executor.run(fn, ...)`` / ``executor.map(fn, ...)`` whose receiver
-was constructed from (or annotated as) ``SweepExecutor`` contributes
-its ``fn`` — resolved through imports — as a shard worker root.  The
-*worker cone* is everything reachable from those roots through the
-call graph, dynamic-dispatch over-approximation included; RL4xx rules
-judge candidates against that cone.
+``executor.map(fn, ...)`` whose receiver was constructed from (or
+annotated as) ``SweepExecutor`` contributes its ``fn`` — resolved
+through imports — as a shard worker root.  The *worker cone* is
+everything reachable from those roots through the call graph,
+dynamic-dispatch over-approximation included; RL4xx rules judge
+candidates against that cone.
 
 Dispatch roots for the compile-readiness rules are the public methods
 of ``EventEngine`` in ``repro.sim.engine`` — the timing-wheel loop and

@@ -103,7 +103,7 @@ class FunctionSummary:
     #: "seeded"}`` — ``seeded`` when the argument expression mentions a
     #: seed or calls ``derive_seed``.
     rng_sites: List[Dict[str, Any]] = field(default_factory=list)
-    #: ``SweepExecutor.run/map`` call sites: ``{"arg", "hazard",
+    #: ``SweepExecutor.map`` call sites: ``{"arg", "hazard",
     #: "lineno", "col", "stmt_line", "method"}``; ``arg`` is the dotted
     #: name of the worker argument (or "" for a lambda), ``hazard`` a
     #: human reason when the argument cannot cross a pickle boundary.
@@ -684,8 +684,8 @@ class _Extractor:
                 and isinstance(node.args[1].value, str)
             ):
                 fs.dynamic_setattr.append(self._site(node, {"builtin": tail}))
-        # SweepExecutor.run/map dispatch sites.
-        if isinstance(node.func, ast.Attribute) and node.func.attr in ("run", "map"):
+        # SweepExecutor.map dispatch sites.
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "map":
             recv = _dotted(node.func.value)
             recv_is_executor = (
                 recv in executor_names

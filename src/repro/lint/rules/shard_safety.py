@@ -87,7 +87,7 @@ class SharedStateMutation(Rule):
                     f"point and {verb} module-level `{g_module}.{g_name}` — "
                     "forked workers each mutate a private copy and shards "
                     "race under non-fork backends",
-                    "thread the state through ShardPayload/ShardResult "
+                    "thread the state through the worker's ShardPayload "
                     "instead; if this is a deliberate per-process memo "
                     "cache whose values are pure, add a justified "
                     "allowlist entry",

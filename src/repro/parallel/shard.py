@@ -1,16 +1,17 @@
 """The shard protocol: picklable job descriptions and outcome payloads.
 
 A *shard* is one independent unit of a sweep — one fleet mix of the
-§VII adoption trajectory, one slice of the §V device matrix, one
-benchmark round.  Shards share no simulated events, which makes the
-sweep embarrassingly parallel: the classic PADS observation that
-replication-style parallelism needs no rollback machinery at all.
+§VII adoption trajectory, one slice of the §V device matrix.  Shards
+share no simulated events, which makes the sweep embarrassingly
+parallel: the classic PADS observation that replication-style
+parallelism needs no rollback machinery at all.
 
 Everything that crosses a process boundary lives here and must stay
 picklable: :class:`ShardSpec` travels parent → worker, and the worker
 answers with either a bare value or a :class:`ShardPayload` wrapping
-the value with engine statistics.  The executor folds both into
-:class:`ShardResult` rows, ordered like the input specs.
+the value with engine statistics.  The executor returns the values in
+spec order and keeps the statistics as
+:class:`repro.core.metrics.ShardStats` rows.
 
 Seeds follow one rule — :func:`derive_seed` — applied identically by
 the serial and process backends, so a sweep's per-shard RNG streams
@@ -19,7 +20,7 @@ the serial and process backends, so a sweep's per-shard RNG streams
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List
 
 from repro._compat import slotted_dataclass
 
@@ -28,7 +29,6 @@ __all__ = [
     "make_shards",
     "ShardSpec",
     "ShardPayload",
-    "ShardResult",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -69,20 +69,11 @@ def derive_seed(base_seed: int, shard_index: int) -> int:
 
 @slotted_dataclass(frozen=True)
 class ShardSpec:
-    """One picklable job description: what to run and with which seed.
-
-    ``cost`` is a relative size hint (any positive unit — device count,
-    profile count, expected wall seconds) the executor's adaptive
-    scheduler uses to build size-weighted chunks; 1.0 means "like any
-    other shard" and never changes *what* runs, only how shards group
-    into pool submissions.
-    """
+    """One picklable job description: what to run and with which seed."""
 
     index: int
     seed: int
     payload: Any = None
-    label: str = ""
-    cost: float = 1.0
 
 
 @slotted_dataclass()
@@ -100,46 +91,9 @@ class ShardPayload:
     queries: int = 0
 
 
-@slotted_dataclass()
-class ShardResult:
-    """The structured per-shard outcome row the executor hands back.
-
-    ``error`` is ``None`` on success; on failure it carries the worker
-    traceback (or the timeout/crash description) after the shard's one
-    retry was exhausted — the "structured failure row" of the sweep.
-    """
-
-    index: int
-    seed: int
-    value: Any = None
-    wall_s: float = 0.0
-    events: int = 0
-    sim_seconds: float = 0.0
-    queries: int = 0
-    attempts: int = 1
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-def make_shards(
-    payloads: Iterable[Any],
-    base_seed: int,
-    costs: Optional[Sequence[float]] = None,
-) -> List[ShardSpec]:
-    """Wrap payloads into specs, seeding each via :func:`derive_seed`.
-
-    ``costs`` (optional, parallel to ``payloads``) attaches relative
-    size hints for the executor's adaptive chunk planner; omitted, every
-    shard weighs 1.0.  Costs never affect seeds or results — only how
-    shards group into pool submissions.
-    """
-    specs = []
-    for i, payload in enumerate(payloads):
-        cost = float(costs[i]) if costs is not None else 1.0
-        specs.append(
-            ShardSpec(index=i, seed=derive_seed(base_seed, i), payload=payload, cost=cost)
-        )
-    return specs
+def make_shards(payloads: Iterable[Any], base_seed: int) -> List[ShardSpec]:
+    """Wrap payloads into specs, seeding each via :func:`derive_seed`."""
+    return [
+        ShardSpec(index=i, seed=derive_seed(base_seed, i), payload=payload)
+        for i, payload in enumerate(payloads)
+    ]

@@ -85,7 +85,7 @@ def test_fleet_cli_starts_no_worker_pool(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("the fleet command dispatched shards")
 
-    monkeypatch.setattr(SweepExecutor, "run", refuse)
+    monkeypatch.setattr(SweepExecutor, "map", refuse)
     assert run_cli("fleet", "--devices", "1000", "--jobs", "4").startswith("stage")
 
 

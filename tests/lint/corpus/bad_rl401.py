@@ -1,16 +1,16 @@
 # repro-lint-module: repro.sweeps.fix401
 """RL401 positive: a shard worker mutates a module-level dict."""
 from repro.parallel.executor import SweepExecutor
-from repro.parallel.shard import ShardResult, ShardSpec
+from repro.parallel.shard import ShardPayload, ShardSpec
 
 _RESULTS = {}
 
 
-def measure(spec: ShardSpec) -> ShardResult:
+def measure(spec: ShardSpec) -> ShardPayload:
     # The race: each forked worker writes a private copy the parent
     # never sees; thread/serial backends interleave writes instead.
     _RESULTS[spec.index] = spec.seed
-    return ShardResult(index=spec.index, value=float(spec.seed))
+    return ShardPayload(float(spec.seed))
 
 
 def sweep(specs):

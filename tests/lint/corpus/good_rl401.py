@@ -1,13 +1,13 @@
 # repro-lint-module: repro.sweeps.fix401g
-"""RL401 negative: per-shard state rides in the ShardResult."""
+"""RL401 negative: per-shard state rides in the ShardPayload."""
 from repro.parallel.executor import SweepExecutor
-from repro.parallel.shard import ShardResult, ShardSpec
+from repro.parallel.shard import ShardPayload, ShardSpec
 
 
-def measure(spec: ShardSpec) -> ShardResult:
+def measure(spec: ShardSpec) -> ShardPayload:
     local = {}
     local[spec.index] = spec.seed
-    return ShardResult(index=spec.index, value=float(sum(local.values())))
+    return ShardPayload(float(sum(local.values())))
 
 
 def sweep(specs):

@@ -1,11 +1,11 @@
 # repro-lint-module: repro.sweeps.fix402g
 """RL402 negative: the worker is a picklable module-level function."""
 from repro.parallel.executor import SweepExecutor
-from repro.parallel.shard import ShardResult, ShardSpec
+from repro.parallel.shard import ShardPayload, ShardSpec
 
 
-def double(spec: ShardSpec) -> ShardResult:
-    return ShardResult(index=spec.index, value=float(spec.seed * 2))
+def double(spec: ShardSpec) -> ShardPayload:
+    return ShardPayload(float(spec.seed * 2))
 
 
 def sweep(specs):

@@ -11,7 +11,7 @@ from repro.analysis.adoption import (
     sweep_table,
     windows_refresh_mixes,
 )
-from repro.analysis.matrix import matrix_table, run_device_matrix, run_device_matrix_stats
+from repro.analysis.matrix import matrix_table, run_device_matrix
 from repro.clients.profiles import ALL_PROFILES
 from repro.core.testbed import Testbed, TestbedConfig
 from repro.parallel import derive_seed, SweepExecutor
@@ -72,7 +72,7 @@ class TestSweepDeterminism:
         assert stats.total_queries > 0
         assert stats.total_sim_seconds > 0
         assert len(stats.shards) == len(MIXES)
-        assert not stats.failures
+        assert all(s.error is None for s in stats.shards)
 
 
 class TestMatrixDeterminism:
@@ -117,12 +117,16 @@ class TestMatrixDeterminism:
         assert got_rows == expected_rows
 
     def test_jobs1_uses_single_shard(self):
-        _outcomes, stats = run_device_matrix_stats(jobs=1)
+        with SweepExecutor(jobs=1) as executor:
+            run_device_matrix(executor=executor)
+            stats = executor.last_stats
         assert len(stats.shards) == 1
         assert stats.backend == "serial"
 
     def test_jobs4_shards_and_merges_in_profile_order(self):
-        outcomes, stats = run_device_matrix_stats(jobs=4)
+        with SweepExecutor(jobs=4) as executor:
+            outcomes = run_device_matrix(executor=executor)
+            stats = executor.last_stats
         assert len(stats.shards) == 4
         assert [o.profile for o in outcomes] == [p.name for p in ALL_PROFILES]
 

@@ -1,5 +1,5 @@
-"""The sweep executor: backends, retry, timeout, stats, job resolution,
-chunk planning and executor ownership.
+"""The sweep executor: backends, retry, stats, job resolution and
+executor ownership.
 
 Worker functions live at module level so the process backend can pickle
 them by reference; with the ``fork`` start method the forked workers
@@ -7,7 +7,6 @@ inherit this module already imported.
 """
 
 import os
-import time
 
 import pytest
 
@@ -16,10 +15,8 @@ from repro.parallel import (
     derive_seed,
     ensure_ok,
     fork_available,
-    JOBS_ENV_VAR,
     make_shards,
     owned_executor,
-    plan_chunks,
     resolve_jobs,
     ShardPayload,
     ShardSpec,
@@ -55,11 +52,15 @@ def _fail_first_attempt(spec: ShardSpec):
     return "recovered"
 
 
-def _sleep_long(spec: ShardSpec):
-    # Long enough to trip any sane test timeout, short enough that the
-    # orphaned worker exits promptly after the pool is recycled.
-    time.sleep(5.0)
-    return "never"
+def _die_first_attempt(spec: ShardSpec):
+    # Like _fail_first_attempt, but the first attempt kills its worker
+    # process outright instead of raising.
+    marker = spec.payload
+    if not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write("attempt 1")
+        os._exit(3)
+    return "recovered"
 
 
 class TestDeriveSeed:
@@ -84,35 +85,12 @@ class TestDeriveSeed:
 
 
 class TestResolveJobs:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "7")
+    def test_explicit_wins(self):
         assert resolve_jobs(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "5")
-        assert resolve_jobs(None) == 5
-
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+    def test_default_is_one(self):
         assert resolve_jobs(None) == 1
-
-    def test_invalid_env_is_one(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "lots")
-        assert resolve_jobs(None) == 1
-
-    def test_invalid_env_warns_on_stderr(self, monkeypatch, capsys):
-        # A typo'd REPRO_JOBS silently running serial would be
-        # indistinguishable from a slow machine — it must say so once.
-        monkeypatch.setenv(JOBS_ENV_VAR, "four")
-        assert resolve_jobs(None) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "ignoring invalid REPRO_JOBS='four'" in captured.err
-
-    def test_valid_env_is_silent(self, monkeypatch, capsys):
-        monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        assert resolve_jobs(None) == 2
-        assert capsys.readouterr().err == ""
+        assert SweepExecutor().jobs == 1
 
     def test_zero_means_all_cores(self):
         assert resolve_jobs(0) == (os.cpu_count() or 1)
@@ -122,7 +100,6 @@ class TestResolveJobs:
 class TestBackendSelection:
     def test_jobs_one_is_serial(self):
         assert SweepExecutor(jobs=1).backend == "serial"
-        assert SweepExecutor(jobs=1, backend="process").backend == "serial"
 
     def test_jobs_many_is_process(self):
         executor = SweepExecutor(jobs=2)
@@ -131,11 +108,10 @@ class TestBackendSelection:
 
     def test_fallback_without_fork(self, monkeypatch):
         monkeypatch.setattr(executor_module, "fork_available", lambda: False)
-        assert executor_module.SweepExecutor(jobs=4, backend="process").backend == "serial"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(jobs=2, backend="threads")
+        executor = executor_module.SweepExecutor(jobs=4)
+        assert executor.backend == "serial"
+        assert executor.map(_double, make_shards([1, 2], base_seed=0)) == [2, 4]
+        assert executor._pool is None
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
@@ -143,10 +119,11 @@ class TestRunBothBackends:
     def test_values_in_spec_order(self, jobs):
         specs = make_shards(list(range(10)), base_seed=1)
         with SweepExecutor(jobs=jobs) as executor:
-            results = executor.run(_double, specs)
-        assert [r.index for r in results] == list(range(10))
-        assert [r.value for r in results] == [i * 2 for i in range(10)]
-        assert all(r.ok and r.attempts == 1 for r in results)
+            values = executor.map(_double, specs)
+            shards = executor.last_stats.shards
+        assert values == [i * 2 for i in range(10)]
+        assert [s.index for s in shards] == list(range(10))
+        assert all(s.error is None and s.attempts == 1 for s in shards)
 
     def test_seeds_identical_across_backends(self, jobs):
         # The per-shard seed is carried by the spec, not the backend:
@@ -159,9 +136,9 @@ class TestRunBothBackends:
     def test_payload_stats_folded(self, jobs):
         specs = make_shards([10, 20, 30], base_seed=0)
         with SweepExecutor(jobs=jobs) as executor:
-            results = executor.run(_with_stats, specs)
+            values = executor.map(_with_stats, specs)
             stats = executor.last_stats
-        assert [r.value for r in results] == [11, 21, 31]
+        assert values == [11, 21, 31]
         assert isinstance(stats, SweepStats)
         assert stats.total_events == 30
         assert stats.total_queries == 9
@@ -172,28 +149,46 @@ class TestRunBothBackends:
     def test_crash_retried_once_then_fails(self, jobs):
         specs = make_shards(["x"], base_seed=0)
         with SweepExecutor(jobs=jobs) as executor:
-            results = executor.run(_fail_always, specs)
-        (result,) = results
-        assert not result.ok
-        assert result.attempts == 2
-        assert "exploded" in result.error
-        with pytest.raises(RuntimeError, match="1 of 1 shards failed"):
-            ensure_ok(results, "unit sweep")
+            with pytest.raises(RuntimeError, match="unit sweep: 1 of 1 shards failed"):
+                executor.map(_fail_always, specs, label="unit sweep")
+            (shard,) = executor.last_stats.shards
+        assert shard.attempts == 2
+        assert "exploded" in shard.error
+        with pytest.raises(RuntimeError, match="shard 0 \\(after 2 attempts\\)"):
+            ensure_ok([shard], "unit sweep")
 
     def test_crash_recovered_on_retry(self, jobs, tmp_path):
         markers = [str(tmp_path / f"marker-{jobs}-{i}") for i in range(3)]
         specs = make_shards(markers, base_seed=0)
-        # chunk_size=1 so each shard's first attempt runs exactly once
-        # before its retry (a chunked rerun would double-run neighbours).
-        with SweepExecutor(jobs=jobs, chunk_size=1) as executor:
-            results = executor.run(_fail_first_attempt, specs)
-        assert [r.value for r in results] == ["recovered"] * 3
-        assert all(r.ok and r.attempts == 2 for r in results)
+        with SweepExecutor(jobs=jobs) as executor:
+            values = executor.map(_fail_first_attempt, specs)
+            shards = executor.last_stats.shards
+        assert values == ["recovered"] * 3
+        assert all(s.error is None and s.attempts == 2 for s in shards)
 
     def test_empty_specs(self, jobs):
         with SweepExecutor(jobs=jobs) as executor:
-            assert executor.run(_double, []) == []
+            assert executor.map(_double, []) == []
             assert executor.last_stats.shards == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_shard_row_survives_the_raise(jobs):
+    """A shard failing both attempts makes ``map`` raise; its stats row,
+    the only record of the failure, is in ``last_stats`` afterwards."""
+    specs = [
+        ShardSpec(index=0, seed=1, payload=1),
+        ShardSpec(index=1, seed=2, payload=None),  # None * 2 raises TypeError
+        ShardSpec(index=2, seed=3, payload=3),
+    ]
+    with SweepExecutor(jobs=jobs) as executor:
+        with pytest.raises(RuntimeError, match="1 of 3 shards failed — shard 1"):
+            executor.map(_double, specs, label="unit sweep")
+        shards = executor.last_stats.shards
+    assert [s.index for s in shards] == [0, 1, 2]
+    assert [s.attempts for s in shards] == [1, 2, 1]
+    assert shards[1].error and "TypeError" in shards[1].error
+    assert shards[0].error is None and shards[2].error is None
 
 
 class TestProcessBackend:
@@ -201,92 +196,34 @@ class TestProcessBackend:
 
     def test_warm_pool_reused_across_runs(self):
         with SweepExecutor(jobs=2) as executor:
-            executor.run(_double, make_shards(range(4), base_seed=0))
+            executor.map(_double, make_shards(range(4), base_seed=0))
             pool_first = executor._pool
-            executor.run(_double, make_shards(range(4), base_seed=0))
+            executor.map(_double, make_shards(range(4), base_seed=0))
             assert executor._pool is pool_first
             assert pool_first is not None
-
-    def test_timeout_is_structured_failure(self):
-        # Two shards because a single spec short-circuits to the serial
-        # path (which cannot preempt); chunk_size=1 keeps each sleeper
-        # in its own chunk.
-        specs = make_shards(["sleep", "sleep"], base_seed=0)
-        with SweepExecutor(jobs=2, timeout=0.3, chunk_size=1) as executor:
-            results = executor.run(_sleep_long, specs)
-        assert all(not r.ok for r in results)
-        assert any("timed out" in r.error for r in results)
 
     def test_unpicklable_payload_is_structured_failure(self):
         specs = [
             ShardSpec(index=0, seed=1, payload=lambda: None),  # lambdas don't pickle
             ShardSpec(index=1, seed=2, payload=3),
         ]
-        with SweepExecutor(jobs=2, chunk_size=1) as executor:
-            results = executor.run(_double, specs)
-        assert not results[0].ok
-        assert results[1].ok and results[1].value == 6
-
-    def test_stats_speedup_and_table(self):
-        specs = make_shards(range(6), base_seed=0)
         with SweepExecutor(jobs=2) as executor:
-            executor.run(_with_stats, specs)
-            stats = executor.last_stats
-        assert stats.jobs == 2
-        assert stats.backend == "process"
-        assert stats.speedup >= 0
-        table = stats.table()
-        assert "jobs=2" in table
-        assert "failures=0" in table
+            with pytest.raises(RuntimeError, match="1 of 2 shards failed — shard 0"):
+                executor.map(_double, specs)
+            shards = executor.last_stats.shards
+        assert "dispatch failed" in shards[0].error
+        assert shards[1].error is None
 
-
-class TestSweepStatsTable:
-    def test_failure_rows_marked(self):
-        specs = make_shards(["x", "y"], base_seed=0)
-        with SweepExecutor(jobs=1) as executor:
-            executor.run(_fail_always, specs)
-            stats = executor.last_stats
-        assert len(stats.failures) == 2
-        table = stats.table()
-        assert "FAILED" in table
-        assert "failures=2" in table
-
-
-class TestPlanChunks:
-    def _specs(self, costs):
-        return make_shards(list(range(len(costs))), base_seed=0, costs=costs)
-
-    def test_explicit_chunk_size_is_fixed_slicing(self):
-        specs = self._specs([1.0] * 7)
-        plan = plan_chunks(specs, jobs=4, chunk_size=3)
-        assert [len(c) for c in plan] == [3, 3, 1]
-
-    def test_covers_all_specs_in_order(self):
-        specs = self._specs([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
-        plan = plan_chunks(specs, jobs=2)
-        flat = [spec for chunk in plan for spec in chunk]
-        assert [s.index for s in flat] == [s.index for s in specs]
-
-    def test_deterministic_for_same_inputs(self):
-        costs = [float((i * 37) % 11 + 1) for i in range(40)]
-        a = plan_chunks(self._specs(costs), jobs=4)
-        b = plan_chunks(self._specs(costs), jobs=4)
-        assert [[s.index for s in c] for c in a] == [[s.index for s in c] for c in b]
-
-    def test_cost_weighting_shrinks_toward_the_tail(self):
-        """Uniform costs: early chunks are large (amortized dispatch),
-        the tail splits into single-spec chunks for redistribution."""
-        plan = plan_chunks(self._specs([1.0] * 64), jobs=4)
-        assert len(plan[0]) > 1
-        assert len(plan[-1]) == 1
-        assert len(plan) > 4  # more chunks than workers: work can rebalance
-
-    def test_heavy_spec_closes_its_chunk(self):
-        """A spec whose cost exceeds the chunk target ends the chunk:
-        cheap specs after it can never be serialized behind it."""
-        plan = plan_chunks(self._specs([1.0, 1.0, 100.0, 1.0, 1.0]), jobs=2)
-        (heavy,) = [c for c in plan if any(s.index == 2 for s in c)]
-        assert heavy[-1].index == 2
+    def test_dead_worker_retried_on_a_fresh_pool(self, tmp_path):
+        markers = [str(tmp_path / f"marker-{i}") for i in range(2)]
+        open(markers[1], "w").close()  # only shard 0 kills its worker
+        with SweepExecutor(jobs=2) as executor:
+            values = executor.map(_die_first_attempt, make_shards(markers, base_seed=0))
+            shards = executor.last_stats.shards
+        assert values == ["recovered"] * 2
+        # Shard 1 is retried too if the dying worker broke the pool
+        # before shard 1 finished; shard 0 always is.
+        assert shards[0].attempts == 2
 
 
 class TestOwnedExecutor:
@@ -297,14 +234,14 @@ class TestOwnedExecutor:
 
     def test_constructed_executor_is_closed(self):
         with owned_executor(None, jobs=2) as executor:
-            executor.run(_double, make_shards([1, 2], base_seed=0))
+            executor.map(_double, make_shards([1, 2], base_seed=0))
             assert executor.last_stats is not None
         assert executor._pool is None
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_borrowed_executor_stays_open(self):
         with SweepExecutor(jobs=2) as outer:
-            outer.run(_double, make_shards([1, 2], base_seed=0))
+            outer.map(_double, make_shards([1, 2], base_seed=0))
             pool = outer._pool
             with owned_executor(outer, jobs=4) as inner:
                 assert inner is outer

@@ -14,8 +14,9 @@ import pytest
 from repro.analysis.adoption import AdoptionPoint, FleetMix, windows_refresh_mixes
 from repro.analysis.matrix import DeviceOutcome, run_device_matrix
 from repro.clients.profiles import ALL_PROFILES, MACOS, WINDOWS_10
+from repro.core.metrics import ShardStats
 from repro.core.testbed import TestbedConfig
-from repro.parallel import ShardPayload, ShardResult, ShardSpec
+from repro.parallel import ShardPayload, ShardSpec
 from repro.services.captive import ProbeOutcome
 
 
@@ -80,12 +81,12 @@ class TestPickleRoundTrip:
         assert roundtrip(outcomes) == outcomes
 
     def test_shard_protocol_types(self):
-        spec = ShardSpec(index=3, seed=12345, payload=(TestbedConfig(), "x"), label="mix-3")
+        spec = ShardSpec(index=3, seed=12345, payload=(TestbedConfig(), "x"))
         assert roundtrip(spec) == spec
         payload = ShardPayload("value", events=7, sim_seconds=1.5, queries=2)
         assert roundtrip(payload) == payload
-        result = ShardResult(index=3, seed=12345, value=[1, 2], wall_s=0.25, error=None)
-        assert roundtrip(result) == result
+        row = ShardStats(index=3, seed=12345, wall_s=0.25, attempts=2, error="boom")
+        assert roundtrip(row) == row
 
 
 @pytest.mark.skipif(sys.version_info < (3, 10), reason="dataclass slots need 3.10+")
@@ -98,7 +99,7 @@ class TestSlots:
             AdoptionPoint("x", 1, 1, 0, 0, 0),
             ShardSpec(index=0, seed=1),
             ShardPayload(None),
-            ShardResult(index=0, seed=1),
+            ShardStats(index=0, seed=1, wall_s=0.0),
         ],
         ids=lambda instance: type(instance).__name__,
     )
